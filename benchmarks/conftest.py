@@ -14,11 +14,18 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 import warnings
 
 import pytest
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
+
+# benches compare against the test oracles (``tests.core.oracle``), so the
+# repository root must be importable however pytest was launched
+ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if ROOT not in sys.path:
+    sys.path.append(ROOT)
 
 #: --baseline warns when throughput drops more than this vs the committed artifact.
 BASELINE_DROP_TOLERANCE = 0.20

@@ -5,8 +5,10 @@ The serve-front-end load story: N overlapping Figure-6 subscriptions (the
 from a shared pattern pool -- what a real subscriber population looks like)
 evaluated over one SAS transition stream.
 
-* **live fan-out**: N dedicated :class:`QuestionWatcher`\\ s on the indexed
-  SAS vs one :class:`MultiQuestionEngine` attached to the same SAS.
+* **live fan-out**: N dedicated per-question watchers on an indexed SAS
+  (``watcher_baseline.WatcherSAS``, the path every live question took
+  before it ran on the shared engine) vs one :class:`MultiQuestionEngine`
+  attached to a SAS.
   Subscription dedup collapses duplicate questions to one watcher, pattern
   interning collapses shared patterns to one node, and dirty bits skip
   untouched subscriptions -- the marginal subscriber is nearly free, so
@@ -15,11 +17,12 @@ evaluated over one SAS transition stream.
   subscriptions (>= 3x in quick mode, where streams are short and constant
   costs dominate).
 * **retro batch**: answering the question set over a recorded ``.rtrcx``
-  trace -- one ``evaluate_questions`` scan per question vs one
+  trace -- one single-question scan per question vs one
   ``evaluate_question_batch`` pass for the whole set.
 * **differential oracle**: at every subscriber count, and across 10 seeds,
   engine answers (satisfied_time / transitions / satisfied) are
-  byte-identical to the dedicated watchers and to ``evaluate_questions``.
+  byte-identical to the dedicated watchers, and batch answers to the
+  per-question scans.
 
 Results merge into ``benchmarks/out/BENCH_trace.json`` under ``"abl11"``.
 """
@@ -45,6 +48,7 @@ from repro.trace.columnar import ColumnarTraceWriter, open_trace
 from repro.trace.retro import evaluate_question_batch, evaluate_questions
 from repro.workloads import random_trace
 from repro.workloads.generators import sas_sentence_pool
+from watcher_baseline import WatcherSAS
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -110,7 +114,7 @@ def _subscriptions(questions, count: int):
 
 def _replay_watchers(stream, questions):
     clock = {"t": 0.0}
-    sas = ActiveSentenceSet(clock=lambda: clock["t"])
+    sas = WatcherSAS(clock=lambda: clock["t"])
     watchers = [sas.attach_question(q) for q in questions]
     t0 = time.perf_counter()
     for sent, up, t in stream:

@@ -5,13 +5,13 @@ cost matters.  This bench measures real (host) time for activate/deactivate
 cycles while scaling (a) the number of concurrently active sentences and
 (b) the number of attached questions.
 
-Expected shape (indexed engine): per-op cost is roughly flat in the
-active-set size (dict operations) AND roughly flat in the number of
-attached questions -- the inverted watcher index notifies only watchers
-whose patterns could match the transitioning sentence, so unrelated
-questions cost nothing.  (The seed engine re-touched every watcher per
-transition, which read as ~linear growth here; abl5b records the
-head-to-head against the full-rescan naive reference.)
+Expected shape: per-op cost is roughly flat in the active-set size (dict
+operations) AND roughly flat in the number of attached questions -- the
+SAS's question engine routes a transition only to the pattern nodes that
+could match it (shard keys, lattice pruning, a memoized per-sentence match
+set), so unrelated questions cost nothing.  (The seed engine re-touched
+every watcher per transition, which read as ~linear growth here; abl5b
+records the head-to-head against the full-rescan oracle.)
 """
 
 import time
@@ -58,8 +58,8 @@ def test_abl5_sas_scaling(benchmark, save_artifact):
     # near-flat in active-set size: 50x more active sentences costs < 10x
     assert by_size[500] < by_size[10] * 10
     # near-flat in question count: the probe matches none of the attached
-    # questions, so the index keeps 64 attached watchers < 10x the 0-watcher
-    # cost (the seed engine grew ~linearly here, >30x at 64 watchers)
+    # questions, so routing keeps 64 attached questions < 10x the
+    # 0-question cost (the seed engine grew ~linearly here, >30x at 64)
     assert by_questions[64] < by_questions[0] * 10
 
     rows_a = [(n, f"{c * 1e9:.0f}") for n, c in by_size.items()]
@@ -70,7 +70,7 @@ def test_abl5_sas_scaling(benchmark, save_artifact):
         + text_table(rows_a, headers=("active sentences", "ns per notification"))
         + "\n\nvs attached questions (10 active sentences):\n"
         + text_table(rows_b, headers=("attached questions", "ns per notification"))
-        + "\n\nshape: ~flat in SAS size; ~flat in unrelated-watcher count"
-        "\n(inverted index -- see abl5b for indexed vs naive engine throughput)."
+        + "\n\nshape: ~flat in SAS size; ~flat in unrelated-question count"
+        "\n(question-engine routing -- see abl5b for SAS vs oracle throughput)."
     )
     save_artifact("abl5_sas_scaling", text)

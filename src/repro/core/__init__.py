@@ -30,8 +30,8 @@ from .mapping import Mapping, MappingGraph, MappingOrigin, MappingType
 from .multiq import (
     HashRing,
     MultiQuestionEngine,
-    MultiWatcher,
     PatternNode,
+    QuestionWatcher,
     Subscription,
 )
 from .nouns import BASE_LEVEL, AbstractionLevel, Noun, Sentence, Verb, Vocabulary, sentence
@@ -46,15 +46,7 @@ from .questions import (
     QOr,
     SentencePattern,
 )
-from .sas import (
-    SAS_ENGINES,
-    ActiveSentenceSet,
-    DynamicMappingRecorder,
-    NaiveActiveSentenceSet,
-    QuestionWatcher,
-    interest_from_questions,
-    make_sas,
-)
+from .sas import ActiveSentenceSet, DynamicMappingRecorder, interest_from_questions
 
 __all__ = [
     "AbstractionLevel",
@@ -79,8 +71,6 @@ __all__ = [
     "MEMORY",
     "MergePolicy",
     "MultiQuestionEngine",
-    "MultiWatcher",
-    "NaiveActiveSentenceSet",
     "PatternNode",
     "Subscription",
     "Noun",
@@ -93,7 +83,6 @@ __all__ = [
     "QOr",
     "QuestionWatcher",
     "Resource",
-    "SAS_ENGINES",
     "Sentence",
     "sentence",
     "SentenceEvent",
@@ -109,5 +98,4 @@ __all__ = [
     "aggregate_sum",
     "assign_costs",
     "attribution_error",
-    "make_sas",
 ]

@@ -169,7 +169,7 @@ class Trace:
         """Replay this trace's transitions into a SAS engine, in order.
 
         This is the differential-oracle driver: one trace replayed through
-        two engines (indexed and naive) must leave them observably
+        the SAS and a reference implementation must leave them observably
         identical.  Timing is governed by the target SAS's own clock; the
         trace's recorded times are not re-imposed.
         """

@@ -1,11 +1,13 @@
-"""The shared multi-question evaluation engine.
+"""The question engine: every live and retrospective question runs here.
 
-One :class:`~repro.core.sas.QuestionWatcher` per question re-pays the full
-pattern-matching cost of every SAS transition per subscriber: serving N
-concurrent Figure-6 subscriptions costs N independent re-evaluations of the
-same transition stream.  Real question workloads share structure -- the same
-levels, overlapping patterns, outright duplicate questions -- and this module
-exploits that so the marginal subscription is nearly free:
+A Figure-6 question is satisfied while its patterns match the set of active
+sentences (Section 4.2).  :class:`MultiQuestionEngine` evaluates any number
+of questions over one stream of membership changes -- a live SAS's
+(:meth:`~repro.core.sas.ActiveSentenceSet.attach_question` subscribes to the
+engine the SAS owns), a recorded trace's
+(:func:`repro.trace.retro.evaluate_question_batch`), or ``repro serve``'s --
+and shares the work between questions, so the marginal subscription is
+nearly free:
 
 * **pattern interning** -- every subscription's
   :class:`~repro.core.questions.SentencePattern` is canonicalized
@@ -31,13 +33,12 @@ exploits that so the marginal subscription is nearly free:
   questions on any relevant entry change.  Unaffected subscribers cost
   nothing;
 * **subscription dedup** -- structurally-equivalent questions subscribed
-  before any transition share one :class:`MultiWatcher` outright.
+  against the same history share one :class:`QuestionWatcher` outright.
 
 Per-question observable state (``satisfied_time``, ``transitions``,
-``satisfied_at_end``) is byte-identical to a dedicated live
-:class:`~repro.core.sas.QuestionWatcher` replaying the same stream -- the
-differential oracle pinned by ``tests/core/test_multiq_properties.py`` and
-ablation abl11.
+``satisfied_at_end``) equals a naive full-rescan evaluation of the same
+stream -- the oracle in ``tests/core/oracle.py`` that the differential and
+property suites and ablations abl5b and abl11 pin the engine against.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .questions import (
 __all__ = [
     "HashRing",
     "PatternNode",
-    "MultiWatcher",
+    "QuestionWatcher",
     "Subscription",
     "MultiQuestionEngine",
 ]
@@ -130,21 +131,23 @@ class PatternNode:
 
 
 @dataclass(eq=False)
-class MultiWatcher:
-    """Satisfaction state of one (shared) subscription.
+class QuestionWatcher:
+    """Satisfaction state of one (possibly shared) subscription.
 
-    Field-for-field the observable surface of
-    :class:`~repro.core.sas.QuestionWatcher`, plus the closed satisfied
-    intervals (what ``repro serve`` streams) and interval callbacks.
+    ``satisfied`` is the node-global boolean that SAS-gated instrumentation
+    reads (Section 6.1); ``satisfied_time`` accumulates closed satisfied
+    intervals, and ``on_interval`` callbacks receive each one as it closes
+    (what ``repro serve`` streams).  The state is bounded: the open
+    interval, if any, starts at ``satisfied_since``.
     """
 
+    question: Question
     satisfied: bool = False
     satisfied_since: float = 0.0
     satisfied_time: float = 0.0
     transitions: int = 0
 
     def __post_init__(self) -> None:
-        self.intervals: list[tuple[float, float]] = []
         self.on_satisfied: list[Callable[[float], None]] = []
         self.on_unsatisfied: list[Callable[[float], None]] = []
         self.on_interval: list[Callable[[float, float], None]] = []
@@ -160,7 +163,6 @@ class MultiWatcher:
                 cb(now)
         else:
             self.satisfied_time += now - self.satisfied_since
-            self.intervals.append((self.satisfied_since, now))
             for cb in self.on_interval:
                 cb(self.satisfied_since, now)
             for cb in self.on_unsatisfied:
@@ -171,13 +173,6 @@ class MultiWatcher:
         if self.satisfied:
             return self.satisfied_time + (now - self.satisfied_since)
         return self.satisfied_time
-
-    def closed_intervals(self, end: float) -> list[tuple[float, float]]:
-        """All satisfied intervals, the open one (if any) closed at ``end``."""
-        out = list(self.intervals)
-        if self.satisfied:
-            out.append((self.satisfied_since, end))
-        return out
 
 
 @dataclass(eq=False)
@@ -190,7 +185,7 @@ class Subscription:
     kind: str  # "conj" | "expr" | "ordered"
     nids: tuple[int, ...]  # component order (ordered) / unique (conj)
     program: list[tuple] | None  # expr: flattened children-first op list
-    watcher: MultiWatcher
+    watcher: QuestionWatcher
     created_at: int  # engine transition count at creation (dedup guard)
     key: tuple  # structural-equivalence key
 
@@ -211,15 +206,15 @@ class _Shard:
 class MultiQuestionEngine:
     """Evaluate many questions over one transition stream, sharing work.
 
-    Feed it transitions directly (:meth:`transition`), hook it to a live SAS
-    (:meth:`attach_sas` -- forwarded bus transitions included, since the bus
-    applies them to the replica SAS), or let
-    :func:`repro.trace.retro.evaluate_question_batch` replay a recorded
-    trace through it in one zone-map-pruned pass.
-
-    The engine tracks its own membership multiset (depth per sentence), so
-    nested re-entrant activations are ignored exactly as
-    :class:`~repro.core.sas.QuestionWatcher` ignores them.
+    Every :class:`~repro.core.sas.ActiveSentenceSet` owns one, created at
+    its first question and fed the membership changes the SAS computes
+    anyway (:meth:`membership_change`).  Raw transitions, nested
+    re-entrancy included, go through :meth:`transition`, which keeps the
+    engine's own depth map: a recorded trace replayed by
+    :func:`repro.trace.retro.evaluate_question_batch` in one
+    zone-map-pruned pass, or a live SAS hooked with :meth:`attach_sas`
+    (forwarded bus transitions included, since the bus applies them to the
+    replica SAS).
     """
 
     def __init__(self, shards: int = 1):
@@ -235,11 +230,8 @@ class MultiQuestionEngine:
         self._active: dict[Sentence, float] = {}
         # sentence -> matching node ids (invalidated when nodes are added)
         self._match_cache: dict[Sentence, tuple[int, ...]] = {}
-        # counters (the abl11 work accounting)
-        self.transitions_seen = 0  # every notification fed in
+        # counters: membership_changes is also the subscription dedup guard
         self.membership_changes = 0  # outermost activate / last deactivate
-        self.node_updates = 0  # per-node count/entry updates applied
-        self.evaluations = 0  # subscription re-evaluations (dirty only)
         self.shard_touches: list[int] = [0] * shards
 
     # ------------------------------------------------------------------
@@ -351,8 +343,8 @@ class MultiQuestionEngine:
         processed the same history share one subscription -- the
         "subsumption-cached fan-out": the marginal duplicate subscriber
         costs one dict lookup.  ``now`` stamps the initial evaluation (use
-        the current clock when attaching mid-run, matching
-        :meth:`~repro.core.sas.ActiveSentenceSet.attach_question`).
+        the current clock when subscribing mid-run, as
+        :meth:`~repro.core.sas.ActiveSentenceSet.attach_question` does).
         """
         nids_acc: list[int] = []
         program = None
@@ -376,12 +368,13 @@ class MultiQuestionEngine:
             # share only while observably fresh: the shared watcher must be
             # in exactly the state a dedicated watcher attached at ``now``
             # would be in -- same engine history (created_at) and no
-            # accumulated past (no closed intervals, and any open interval
-            # must have started at ``now`` itself, not earlier wall-clock)
+            # accumulated past (no closed interval, i.e. fewer than two
+            # flips, and any open interval must have started at ``now``
+            # itself, not earlier wall-clock)
             w = sub.watcher
             if (
                 sub.created_at == self.membership_changes
-                and not w.intervals
+                and w.transitions < 2
                 and (not w.satisfied or w.satisfied_since == now)
             ):
                 self._names.setdefault(effective_name, sub.sid)
@@ -393,7 +386,7 @@ class MultiQuestionEngine:
             kind=kind,
             nids=nids,
             program=program,
-            watcher=MultiWatcher(),
+            watcher=QuestionWatcher(question),
             created_at=self.membership_changes,
             key=key,
         )
@@ -468,7 +461,6 @@ class MultiQuestionEngine:
     # evaluation
     # ------------------------------------------------------------------
     def _evaluate(self, sub: Subscription) -> bool:
-        self.evaluations += 1
         nodes = self._nodes
         if sub.kind == "conj":
             return all(nodes[nid].count > 0 for nid in sub.nids)
@@ -493,23 +485,28 @@ class MultiQuestionEngine:
         return sub.question._match(entries, 0, -float("inf"))
 
     def transition(self, sent: Sentence, became_active: bool, now: float) -> None:
-        """Feed one SAS transition (nested re-entrancy handled internally)."""
-        self.transitions_seen += 1
+        """Feed one raw SAS transition (nested re-entrancy handled here)."""
         depth = self._depth
+        d = depth.get(sent, 0)
         if became_active:
-            d = depth.get(sent, 0)
             depth[sent] = d + 1
             if d:
                 return  # nested: membership and outermost times unchanged
-            self._active[sent] = now
         else:
-            d = depth.get(sent, 0)
             if d == 0:
                 raise ValueError(f"deactivate of non-active sentence {sent}")
             if d > 1:
                 depth[sent] = d - 1
                 return
             del depth[sent]
+        self.membership_change(sent, became_active, now)
+
+    def membership_change(self, sent: Sentence, joined: bool, now: float) -> None:
+        """``sent`` became a member (outermost activation, ``joined``) or
+        stopped being one (last deactivation) at ``now``."""
+        if joined:
+            self._active[sent] = now
+        else:
             del self._active[sent]
         self.membership_changes += 1
         nids = self._match_nodes(sent)
@@ -520,9 +517,8 @@ class MultiQuestionEngine:
         dirty: set[int] = set()
         for nid in nids:
             node = nodes[nid]
-            self.node_updates += 1
             touches[node.shard] += 1
-            if became_active:
+            if joined:
                 node.count += 1
                 if node.count == 1:
                     dirty |= node.bool_subs
@@ -553,6 +549,23 @@ class MultiQuestionEngine:
     # ------------------------------------------------------------------
     # live attachment
     # ------------------------------------------------------------------
+    def seed(self, members: Iterable[tuple[Sentence, float]]) -> None:
+        """Silently add ``(sentence, outermost activation time)`` members.
+
+        No watcher fires; questions subscribed afterwards evaluate against
+        the seeded state.  Sentences that are already members keep theirs.
+        """
+        for sent, t in members:
+            if sent in self._active:
+                continue
+            self._active[sent] = t
+            for nid in self._match_nodes(sent):
+                node = self._nodes[nid]
+                node.count += 1
+                if node.ordered_subs:
+                    node.entries.append((sent, t))
+                    node.entries.sort(key=lambda st: st[1])
+
     def attach_sas(self, sas) -> Callable[[Sentence, bool, float], None]:
         """Hook every handled transition of ``sas`` into this engine.
 
@@ -562,19 +575,11 @@ class MultiQuestionEngine:
         :meth:`detach_sas`.  Forwarded transitions applied to a replica SAS
         by the :class:`~repro.dbsim.bus.ForwardingBus` flow through the same
         ``on_transition`` hook, so attaching to the replica sees the fused
-        local + remote stream exactly as its own watchers do.
+        local + remote stream exactly as the SAS's own questions do.
         """
-        for sent, t in sas.active_with_times():
-            d = sas.activation_depth(sent)
-            self._depth[sent] = self._depth.get(sent, 0) + d
-            if sent not in self._active:
-                self._active[sent] = t
-                for nid in self._match_nodes(sent):
-                    node = self._nodes[nid]
-                    node.count += 1
-                    if node.ordered_subs:
-                        node.entries.append((sent, t))
-                        node.entries.sort(key=lambda st: st[1])
+        for sent in sas.active_sentences():
+            self._depth[sent] = self._depth.get(sent, 0) + sas.activation_depth(sent)
+        self.seed(sas.active_with_times())
 
         def hook(sent: Sentence, became_active: bool, now: float) -> None:
             self.transition(sent, became_active, now)
@@ -600,13 +605,6 @@ class MultiQuestionEngine:
             w = self._subs[sid].watcher
             out[name] = (w.total_satisfied_time(end_time), w.transitions, w.satisfied)
         return out
-
-    def intervals(self, end_time: float) -> dict[str, list[tuple[float, float]]]:
-        """Per-question satisfied intervals, open interval closed at ``end_time``."""
-        return {
-            name: self._subs[sid].watcher.closed_intervals(end_time)
-            for name, sid in self._names.items()
-        }
 
     def shard_summary(self) -> dict[str, object]:
         """Node and touch distribution across shards (the fan-out balance)."""

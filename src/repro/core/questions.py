@@ -157,7 +157,7 @@ class SentencePattern:
         return self.verb == WILDCARD and all(n == WILDCARD for n in self.nouns)
 
     def index_key(self) -> tuple[str, str] | None:
-        """The pattern's most selective discriminator for inverted indexing.
+        """The pattern's most selective discriminator, for routing.
 
         A sentence can only match this pattern if it carries the returned
         (kind, name) key: a concrete noun name (nouns are subset-required,
@@ -166,9 +166,9 @@ class SentencePattern:
         name, else the required abstraction level.  ``None`` means the
         pattern has no concrete component (wildcard-only) and must be
         checked against every sentence.
-        :class:`~repro.core.sas.ActiveSentenceSet` buckets watchers under
-        these keys so a transition touches only watchers whose patterns
-        could possibly match the transitioning sentence.
+        :class:`~repro.core.multiq.MultiQuestionEngine` shards its pattern
+        nodes by this key, so a transition visits only the shards holding
+        a pattern that could possibly match the transitioning sentence.
         """
         for noun in self.nouns:
             if noun != WILDCARD:

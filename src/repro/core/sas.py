@@ -17,323 +17,39 @@ Key behaviours reproduced here:
   Ignored notifications are *counted* (their run-time cost was still paid by
   the application -- ablation abl3 measures this) but not stored;
 * **question watching**: attached questions get satisfied/unsatisfied
-  transitions evaluated on every state change, with accumulated
-  satisfied-time, which is what SAS-gated instrumentation predicates read;
+  transitions with accumulated satisfied-time, which is what SAS-gated
+  instrumentation predicates read.  The SAS owns one
+  :class:`~repro.core.multiq.MultiQuestionEngine`, created at its first
+  question, and feeds it only the membership changes it computes anyway
+  (outermost activation, last deactivation) -- before any
+  ``on_transition`` hook runs, so a hook reads up-to-date watchers;
 * **dynamic mapping discovery**: optional recording of co-active sentence
   pairs as dynamic mappings;
 * per-node replication (Section 4.2.3) is achieved by creating one SAS per
   node; cross-node forwarding lives in :mod:`repro.dbsim.bus` (the
   fault-tolerant batching bus; :mod:`repro.dbsim.forwarding` keeps the
   naive fire-and-forget baseline).
-
-Two engines implement these semantics:
-
-* :class:`ActiveSentenceSet` -- the production **indexed** engine.  Watchers
-  are bucketed in an inverted index keyed by each pattern's most selective
-  discriminator (concrete verb, else concrete noun, else level; see
-  :meth:`~repro.core.questions.SentencePattern.index_key`), so a transition
-  notifies only the watchers whose patterns could possibly match, in
-  O(affected) rather than O(watchers x active).  Every watcher keeps
-  incremental state -- per-component counts for conjunction questions,
-  a flattened boolean tree with per-leaf counts for :class:`QExpr`
-  questions, a time-sorted relevant-activation list for
-  :class:`OrderedQuestion` -- so no notification rescans the active set.
-* :class:`NaiveActiveSentenceSet` -- the thin reference implementation that
-  re-evaluates every watcher by full scan on every handled notification.
-  It exists to be obviously correct: the differential oracle
-  (``tests/core/test_sas_differential.py``) replays generated traces through
-  both engines and asserts identical observable state.
-
-Select an engine with :func:`make_sas`; ablation abl5b
-(``benchmarks/test_abl5b_indexed_sas.py``) records the indexed engine's
-speedup next to abl5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .events import EventKind, Trace
 from .mapping import Mapping, MappingGraph, MappingOrigin
+from .multiq import MultiQuestionEngine, Question, QuestionWatcher
 from .nouns import Sentence, Vocabulary
-from .questions import (
-    OrderedQuestion,
-    PerformanceQuestion,
-    QAnd,
-    QAtom,
-    QExpr,
-    QNot,
-    QOr,
-    SentencePattern,
-)
+from .questions import SentencePattern
 
 __all__ = [
-    "QuestionWatcher",
     "ActiveSentenceSet",
-    "NaiveActiveSentenceSet",
     "DynamicMappingRecorder",
     "interest_from_questions",
-    "make_sas",
-    "SAS_ENGINES",
 ]
 
 
-class _IncrementalExpr:
-    """Incrementally-maintained boolean :class:`QExpr` tree.
-
-    The expression is flattened children-first, so node-index order is a
-    valid bottom-up evaluation order.  Each leaf (:class:`QAtom`) keeps a
-    count of active member sentences matching its pattern; a membership
-    delta touches only the leaves whose pattern matches the transitioning
-    sentence and re-evaluates only their ancestor chains, stopping as soon
-    as an ancestor's value is unchanged.
-    """
-
-    __slots__ = ("nodes", "parent", "values", "counts", "atoms", "root")
-
-    def __init__(self, expr: QExpr) -> None:
-        # node payloads: ("atom", pattern) | ("and"|"or", child idxs) | ("not", child idx)
-        self.nodes: list[tuple[str, object]] = []
-        self.parent: list[int] = []
-        self.counts: list[int] = []
-        self.atoms: list[int] = []
-        self.root = self._build(expr)
-        self.values: list[bool] = [False] * len(self.nodes)
-
-    def _build(self, expr: QExpr) -> int:
-        if isinstance(expr, QAtom):
-            idx = self._append(("atom", expr.pattern))
-            self.atoms.append(idx)
-            return idx
-        if isinstance(expr, (QAnd, QOr)):
-            children = tuple(self._build(t) for t in expr.terms)
-            idx = self._append(("and" if isinstance(expr, QAnd) else "or", children))
-            for child in children:
-                self.parent[child] = idx
-            return idx
-        if isinstance(expr, QNot):
-            child = self._build(expr.term)
-            idx = self._append(("not", child))
-            self.parent[child] = idx
-            return idx
-        raise TypeError(f"cannot index QExpr node {expr!r}")
-
-    def _append(self, node: tuple[str, object]) -> int:
-        self.nodes.append(node)
-        self.parent.append(-1)
-        self.counts.append(0)
-        return len(self.nodes) - 1
-
-    def _eval_node(self, idx: int) -> bool:
-        kind, payload = self.nodes[idx]
-        if kind == "atom":
-            return self.counts[idx] > 0
-        if kind == "and":
-            return all(self.values[c] for c in payload)  # type: ignore[union-attr]
-        if kind == "or":
-            return any(self.values[c] for c in payload)  # type: ignore[union-attr]
-        return not self.values[payload]  # type: ignore[index]
-
-    def seed(self, active: Iterable[Sentence]) -> bool:
-        snapshot = list(active)
-        for idx in range(len(self.nodes)):
-            kind, payload = self.nodes[idx]
-            if kind == "atom":
-                self.counts[idx] = sum(1 for s in snapshot if payload.matches(s))  # type: ignore[union-attr]
-            self.values[idx] = self._eval_node(idx)
-        return self.values[self.root]
-
-    def update(self, sent: Sentence, delta: int) -> bool:
-        """Apply a membership delta for ``sent``; returns the root value."""
-        changed: list[int] = []
-        for idx in self.atoms:
-            pattern = self.nodes[idx][1]
-            if pattern.matches(sent):  # type: ignore[union-attr]
-                self.counts[idx] += delta
-                new = self.counts[idx] > 0
-                if new != self.values[idx]:
-                    self.values[idx] = new
-                    changed.append(idx)
-        for idx in changed:
-            node = self.parent[idx]
-            while node >= 0:
-                new = self._eval_node(node)
-                if new == self.values[node]:
-                    break
-                self.values[node] = new
-                node = self.parent[node]
-        return self.values[self.root]
-
-
-class _IncrementalOrdered:
-    """Time-sorted activations relevant to one :class:`OrderedQuestion`.
-
-    Only sentences matching some component pattern can influence the
-    question, so the engine maintains just those (with their outermost
-    activation times, kept time-ordered) instead of rescanning
-    ``active_with_times()`` on every notification.
-    """
-
-    __slots__ = ("question", "entries")
-
-    def __init__(self, question: OrderedQuestion) -> None:
-        self.question = question
-        self.entries: list[tuple[Sentence, float]] = []
-
-    def seed(self, active_with_times: Iterable[tuple[Sentence, float]]) -> bool:
-        relevant = self.question.relevant
-        self.entries = [(s, t) for s, t in active_with_times if relevant(s)]
-        return self.evaluate()
-
-    def add(self, sent: Sentence, now: float) -> bool:
-        """Record an outermost activation; False if the question ignores it."""
-        if not self.question.relevant(sent):
-            return False
-        # clocks are (almost always) monotone, so this is an append; walk
-        # back only if a custom clock handed out an earlier time
-        i = len(self.entries)
-        while i > 0 and self.entries[i - 1][1] > now:
-            i -= 1
-        self.entries.insert(i, (sent, now))
-        return True
-
-    def remove(self, sent: Sentence) -> bool:
-        if not self.question.relevant(sent):
-            return False
-        for i in range(len(self.entries) - 1, -1, -1):
-            if self.entries[i][0] == sent:
-                del self.entries[i]
-                return True
-        return False
-
-    def evaluate(self) -> bool:
-        return self.question._match(self.entries, 0, -float("inf"))
-
-
-@dataclass(eq=False)
-class QuestionWatcher:
-    """Tracks the satisfaction state of one attached question.
-
-    ``question`` may be a :class:`PerformanceQuestion`, a boolean
-    :class:`QExpr`, or an :class:`OrderedQuestion`; all three expose the
-    state transitions that instrumentation predicates subscribe to.
-
-    On the indexed engine every question kind is evaluated incrementally
-    (``_seed`` builds the state, ``_update`` applies membership deltas):
-    per-component match counts for conjunction questions, a
-    :class:`_IncrementalExpr` tree for boolean expressions, and a
-    :class:`_IncrementalOrdered` activation list for ordered questions.
-    Notification cost is therefore independent of the SAS size for all
-    three kinds (ablation abl5/abl5b).  The naive engine never seeds any of
-    this and always takes the full-scan ``_update_full`` path.
-
-    Watchers compare by identity (``eq=False``) so they can live in index
-    buckets and be detached unambiguously.
-    """
-
-    question: PerformanceQuestion | QExpr | OrderedQuestion
-    satisfied: bool = False
-    satisfied_since: float = 0.0
-    satisfied_time: float = 0.0
-    transitions: int = 0
-
-    def __post_init__(self) -> None:
-        self.on_satisfied: list[Callable[[float], None]] = []
-        self.on_unsatisfied: list[Callable[[float], None]] = []
-        self._counts: list[int] | None = None
-        self._expr: _IncrementalExpr | None = None
-        self._ordered: _IncrementalOrdered | None = None
-
-    def _evaluate(self, sas: "ActiveSentenceSet") -> bool:
-        """Reference evaluation: full scan of the SAS's active set."""
-        q = self.question
-        if isinstance(q, OrderedQuestion):
-            return q.satisfied(sas.active_with_times())
-        if isinstance(q, PerformanceQuestion):
-            return q.satisfied(sas.active_sentences())
-        return q.evaluate(sas.active_sentences())
-
-    def _seed(self, sas: "ActiveSentenceSet") -> None:
-        """Build incremental state from the SAS's current membership."""
-        q = self.question
-        if isinstance(q, PerformanceQuestion):
-            snapshot = sas.active_sentences()
-            self._counts = [
-                sum(1 for s in snapshot if p.matches(s)) for p in q.components
-            ]
-        elif isinstance(q, OrderedQuestion):
-            self._ordered = _IncrementalOrdered(q)
-            self._ordered.seed(sas.active_with_times())
-        else:
-            self._expr = _IncrementalExpr(q)
-            self._expr.seed(sas.active_sentences())
-
-    def _update(
-        self,
-        sas: "ActiveSentenceSet",
-        now: float,
-        sent: Sentence | None = None,
-        became_member: bool | None = None,
-    ) -> None:
-        incremental = (
-            self._counts is not None
-            or self._expr is not None
-            or self._ordered is not None
-        )
-        if sent is not None and incremental:
-            if became_member is None:
-                return  # nested (re-entrant): membership and outermost times unchanged
-            if self._counts is not None:
-                components = self.question.components  # type: ignore[union-attr]
-                delta = 1 if became_member else -1
-                for i, pattern in enumerate(components):
-                    if pattern.matches(sent):
-                        self._counts[i] += delta
-                new = all(c > 0 for c in self._counts)
-            elif self._expr is not None:
-                new = self._expr.update(sent, 1 if became_member else -1)
-            else:
-                assert self._ordered is not None
-                touched = (
-                    self._ordered.add(sent, now)
-                    if became_member
-                    else self._ordered.remove(sent)
-                )
-                if not touched:
-                    return  # irrelevant sentence: satisfaction cannot change
-                new = self._ordered.evaluate()
-        else:
-            new = self._evaluate(sas)
-        self._apply(new, now)
-
-    def _update_full(self, sas: "ActiveSentenceSet", now: float) -> None:
-        """Naive-engine path: unconditional full re-evaluation."""
-        self._apply(self._evaluate(sas), now)
-
-    def _apply(self, new: bool, now: float) -> None:
-        if new == self.satisfied:
-            return
-        self.transitions += 1
-        self.satisfied = new
-        if new:
-            self.satisfied_since = now
-            for cb in self.on_satisfied:
-                cb(now)
-        else:
-            self.satisfied_time += now - self.satisfied_since
-            for cb in self.on_unsatisfied:
-                cb(now)
-
-    def total_satisfied_time(self, now: float) -> float:
-        """Accumulated satisfied time, counting an open interval up to ``now``."""
-        if self.satisfied:
-            return self.satisfied_time + (now - self.satisfied_since)
-        return self.satisfied_time
-
-
 class ActiveSentenceSet:
-    """One node's Set of Active Sentences (pattern-indexed engine).
+    """One node's Set of Active Sentences.
 
     Parameters
     ----------
@@ -373,13 +89,8 @@ class ActiveSentenceSet:
         # insertion-ordered membership set (dict keys preserve activation
         # order; O(1) add/remove keeps notifications off the O(|SAS|) path)
         self._order: dict[Sentence, None] = {}
-        self.watchers: list[QuestionWatcher] = []
-        # inverted watcher index: pattern discriminator key -> watcher bucket
-        # (dicts double as insertion-ordered sets); wildcard-only watchers
-        # live in _watch_all and are notified on every transition
-        self._watch_index: dict[tuple[str, str], dict[QuestionWatcher, None]] = {}
-        self._watch_all: dict[QuestionWatcher, None] = {}
-        self._watch_keys: dict[QuestionWatcher, list[tuple[str, str]] | None] = {}
+        # evaluates the attached questions; created by the first one
+        self._engine: MultiQuestionEngine | None = None
         self.notifications = 0
         self.ignored_notifications = 0
         # monotonically increasing sequence number of *handled* transitions;
@@ -425,7 +136,8 @@ class ActiveSentenceSet:
         stack.append(now)
         if self.trace is not None:
             self.trace.record(now, EventKind.ACTIVATE, sent, self.node_id)
-        self._update_watchers(now, sent, True if became_member else None)
+        if became_member and self._engine is not None:
+            self._engine.membership_change(sent, True, now)
         self.transition_epoch += 1
         for cb in self.on_transition:
             cb(sent, True, now)
@@ -450,7 +162,8 @@ class ActiveSentenceSet:
             del self._order[sent]
         if self.trace is not None:
             self.trace.record(now, EventKind.DEACTIVATE, sent, self.node_id)
-        self._update_watchers(now, sent, False if left_membership else None)
+        if left_membership and self._engine is not None:
+            self._engine.membership_change(sent, False, now)
         self.transition_epoch += 1
         for cb in self.on_transition:
             cb(sent, False, now)
@@ -499,23 +212,30 @@ class ActiveSentenceSet:
     # ------------------------------------------------------------------
     # questions
     # ------------------------------------------------------------------
-    def attach_question(
-        self, question: PerformanceQuestion | QExpr | OrderedQuestion
-    ) -> QuestionWatcher:
-        """Register a question; its watcher updates on every transition.
+    def attach_question(self, question: Question) -> QuestionWatcher:
+        """Register a question; its watcher follows every membership change.
 
         The question is evaluated immediately against the current state.
+        Structurally-equal questions attached at the same point of the run
+        share one watcher, whose ``question`` is the first of them.
         """
-        watcher = QuestionWatcher(question)
-        self.watchers.append(watcher)
-        self._register_watcher(watcher)
-        self._seed_watcher(watcher)
-        watcher._update(self, self.clock() if self._order else 0.0)
-        return watcher
+        if self._engine is None:
+            self._engine = MultiQuestionEngine()
+            self._engine.seed(self.active_with_times())
+        now = self.clock() if self._order else 0.0
+        return self._engine.subscribe(question, now=now).watcher
 
-    def detach_question(self, watcher: QuestionWatcher) -> None:
-        self.watchers.remove(watcher)
-        self._unregister_watcher(watcher)
+    def restrict_to_questions(self) -> None:
+        """Enable the Section-4.2 size reduction: only keep sentences that
+        could satisfy some attached question.
+
+        Must be called while the SAS is empty (otherwise already-stored
+        sentences could be stranded without their deactivations).
+        """
+        if self._order:
+            raise RuntimeError("cannot restrict a non-empty SAS")
+        subs = self._engine.subscriptions if self._engine is not None else ()
+        self.interest = interest_from_questions(sub.question for sub in subs)
 
     # ------------------------------------------------------------------
     # recorders (the persistent trace store subscribes here)
@@ -546,136 +266,8 @@ class ActiveSentenceSet:
     def detach_recorder(self, hook: Callable[[Sentence, bool, float], None]) -> None:
         self.on_transition.remove(hook)
 
-    # -- inverted index hooks (overridden by the naive engine) -----------
-    def _register_watcher(self, watcher: QuestionWatcher) -> None:
-        patterns = watcher.question.patterns()
-        keys = {p.index_key() for p in patterns}
-        if None in keys:
-            # some pattern has no concrete component: check on every transition
-            self._watch_all[watcher] = None
-            self._watch_keys[watcher] = None
-            return
-        for key in keys:
-            self._watch_index.setdefault(key, {})[watcher] = None  # type: ignore[index]
-        self._watch_keys[watcher] = list(keys)  # type: ignore[arg-type]
 
-    def _unregister_watcher(self, watcher: QuestionWatcher) -> None:
-        keys = self._watch_keys.pop(watcher, [])
-        if keys is None:
-            self._watch_all.pop(watcher, None)
-            return
-        for key in keys:
-            bucket = self._watch_index.get(key)
-            if bucket is not None:
-                bucket.pop(watcher, None)
-                if not bucket:
-                    del self._watch_index[key]
-
-    def _seed_watcher(self, watcher: QuestionWatcher) -> None:
-        watcher._seed(self)
-
-    def affected_watchers(self, sent: Sentence) -> list[QuestionWatcher]:
-        """Watchers whose satisfaction could change when ``sent`` transitions.
-
-        A guaranteed superset of the watchers whose satisfaction *does*
-        change (property-tested in ``tests/core/test_properties.py``),
-        computed in O(#nouns + #affected) -- independent of both the SAS
-        size and the total attached-watcher count.
-        """
-        hit: dict[QuestionWatcher, None] = dict(self._watch_all)
-        index = self._watch_index
-        if index:
-            bucket = index.get(("v", sent.verb.name))
-            if bucket:
-                hit.update(bucket)
-            bucket = index.get(("l", sent.abstraction))
-            if bucket:
-                hit.update(bucket)
-            for noun in sent.nouns:
-                bucket = index.get(("n", noun.name))
-                if bucket:
-                    hit.update(bucket)
-        return list(hit)
-
-    def _update_watchers(
-        self, now: float, sent: Sentence | None = None, became_member: bool | None = None
-    ) -> None:
-        if sent is None:
-            for watcher in self.watchers:
-                watcher._update(self, now)
-            return
-        for watcher in self.affected_watchers(sent):
-            watcher._update(self, now, sent, became_member)
-
-    def restrict_to_questions(self) -> None:
-        """Enable the Section-4.2 size reduction: only keep sentences that
-        could satisfy some attached question.
-
-        Must be called while the SAS is empty (otherwise already-stored
-        sentences could be stranded without their deactivations).
-        """
-        if self._order:
-            raise RuntimeError("cannot restrict a non-empty SAS")
-        questions = [w.question for w in self.watchers]
-        self.interest = interest_from_questions(questions)
-
-
-class NaiveActiveSentenceSet(ActiveSentenceSet):
-    """Thin reference implementation: full rescan on every notification.
-
-    No inverted index, no incremental watcher state: every handled
-    notification re-evaluates *every* attached watcher against a full scan
-    of the active set.  This is the obviously-correct executable
-    specification that the indexed :class:`ActiveSentenceSet` is
-    differentially tested against (``tests/core/test_sas_differential.py``).
-    Keep it dumb on purpose.
-    """
-
-    def _register_watcher(self, watcher: QuestionWatcher) -> None:
-        pass
-
-    def _seed_watcher(self, watcher: QuestionWatcher) -> None:
-        pass
-
-    def _unregister_watcher(self, watcher: QuestionWatcher) -> None:
-        pass
-
-    def affected_watchers(self, sent: Sentence) -> list[QuestionWatcher]:
-        return list(self.watchers)
-
-    def _update_watchers(
-        self, now: float, sent: Sentence | None = None, became_member: bool | None = None
-    ) -> None:
-        for watcher in self.watchers:
-            watcher._update_full(self, now)
-
-
-#: Selectable SAS engines, keyed by the name :func:`make_sas` accepts.
-SAS_ENGINES: dict[str, type[ActiveSentenceSet]] = {
-    "indexed": ActiveSentenceSet,
-    "naive": NaiveActiveSentenceSet,
-}
-
-
-def make_sas(engine: str = "indexed", **kwargs) -> ActiveSentenceSet:
-    """Engine-selectable SAS constructor.
-
-    ``engine`` is ``"indexed"`` (the production engine, default) or
-    ``"naive"`` (the reference implementation); remaining keyword arguments
-    go to the engine constructor unchanged.
-    """
-    try:
-        cls = SAS_ENGINES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown SAS engine {engine!r}; choose from {sorted(SAS_ENGINES)}"
-        ) from None
-    return cls(**kwargs)
-
-
-def interest_from_questions(
-    questions: Iterable[PerformanceQuestion | QExpr | OrderedQuestion],
-) -> Callable[[Sentence], bool]:
+def interest_from_questions(questions: Iterable[Question]) -> Callable[[Sentence], bool]:
     """Build an interest predicate keeping only question-relevant sentences."""
     patterns: list[SentencePattern] = []
     for q in questions:

@@ -86,11 +86,12 @@ class ContextContains:
 class SASGate:
     """Fire only while a per-node SAS question is satisfied.
 
-    ``watchers[node_id]`` is the :class:`~repro.core.sas.QuestionWatcher`
-    attached to that node's SAS -- the "node-global boolean variable" of
-    Section 6.1.  Reading the flag is O(1) regardless of SAS engine: the
-    indexed engine keeps every watcher's ``satisfied`` bit incrementally
-    up to date, so the gate never triggers an evaluation.
+    ``watchers[node_id]`` is the :class:`~repro.core.multiq.QuestionWatcher`
+    that node's SAS returned from ``attach_question`` -- the "node-global
+    boolean variable" of Section 6.1.  Reading the flag is O(1): the SAS's
+    question engine updates every watcher's ``satisfied`` bit on each
+    membership change, so the gate never triggers an evaluation.  The repr
+    names the gated question (``watcher.question``).
 
     ``watchers`` may be a sequence indexed by node id or a mapping
     ``node_id -> watcher`` (the shape produced when a question is attached

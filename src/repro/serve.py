@@ -385,7 +385,6 @@ class ServeServer:
             engine, [build_question(s) for c in batch for s in c.specs], flush
         )
         answers = engine.answers(end)
-        intervals = engine.intervals(end)
         for client in batch:
             if client.stream:
                 # the still-open interval (if any) closes at end_time and was
@@ -393,13 +392,11 @@ class ServeServer:
                 # to satisfied_time
                 for spec in client.specs:
                     name = spec.display_name()
-                    ivs = intervals[name]
                     w = engine.subscription(name).watcher
-                    if w.satisfied and ivs:
-                        start, stop = ivs[-1]
+                    if w.satisfied:
                         client.send(
                             {"event": "interval", "question": name,
-                             "start": start, "end": stop}
+                             "start": w.satisfied_since, "end": end}
                         )
             client.send(
                 {

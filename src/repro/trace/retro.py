@@ -5,11 +5,14 @@ answers them *after* the run, from a recorded history (a
 :class:`~repro.trace.store.TraceReader`, an in-memory
 :class:`~repro.core.events.Trace`, or any event iterable):
 
-* :func:`evaluate_questions` replays the recorded transitions through a real
-  SAS engine whose clock returns each event's recorded time, so every
-  Figure-6 question's satisfied-time comes out *identical* to what a live
-  :class:`~repro.core.sas.QuestionWatcher` accumulated on the same run --
-  equality by construction, not approximation (asserted in abl9);
+* :func:`evaluate_question_batch` (also exported as
+  :func:`evaluate_questions`) replays the recorded transitions, stamped
+  with their recorded times, through the same
+  :class:`~repro.core.multiq.MultiQuestionEngine` a live SAS evaluates its
+  questions with, so every Figure-6 question's satisfied-time comes out
+  *identical* to what its live :class:`~repro.core.multiq.QuestionWatcher`
+  accumulated on the same run -- equality by construction, not
+  approximation (asserted in abl9);
 * :func:`windowed_mappings` and :func:`windowed_attribution` extend the
   paper's co-activity rule with a configurable **lag window**: sentence B
   maps to sentence A if B becomes active within ``window`` seconds of A's
@@ -36,7 +39,6 @@ from ..core import (
     Sentence,
     SentenceEvent,
     SentencePattern,
-    make_sas,
 )
 from .scan import filtered_intervals, parallel_intervals, question_sids
 from .store import ALL_NODES
@@ -118,74 +120,6 @@ class RetroAnswer:
     end_time: float
 
 
-def evaluate_questions(
-    source,
-    questions: Sequence[PerformanceQuestion | QExpr | OrderedQuestion],
-    end_time: float | None = None,
-    node: int | None = None,
-    engine: str = "indexed",
-) -> dict[str, RetroAnswer]:
-    """Evaluate questions over recorded history, as if they had been live.
-
-    The recorded transitions are replayed through a real SAS engine whose
-    clock hands back each event's recorded time, so watcher satisfied-times
-    accumulate exactly as they would have during the run.  ``node`` filters
-    to one recording node's events (a multi-node file replayed whole feeds
-    every node's transitions into one SAS, which is only meaningful if that
-    is also how the live run was wired).  Open satisfied intervals are
-    closed at ``end_time`` (default: the last replayed event's time).
-    """
-    current = {"t": 0.0}
-    sas = make_sas(engine, clock=lambda: current["t"])
-    watchers = [(question_name(q), sas.attach_question(q)) for q in questions]
-    # pushdown fast path: replay only the sentences the questions' patterns
-    # can observe (watcher satisfaction cannot depend on any other
-    # sentence).  When the caller leaves ``end_time`` defaulted, the legacy
-    # default is the last *replayed* event's time, which a filtered replay
-    # would change -- so the default comes from the reader's
-    # transitions-only bound instead, and sources where that bound is a
-    # full extra walk (row files with no end_time and a node filter) keep
-    # the plain replay.
-    events_iter = None
-    end = end_time
-    if hasattr(source, "scan_transitions") and (
-        end_time is not None or node is None
-    ):
-        sids = question_sids(source.sentences, questions)
-        if sids is not None:
-            if end is None:
-                last_t = source.last_transition_time()
-                end = last_t if last_t is not None else 0.0
-            events_iter = source.scan_transitions(
-                sids=sids, node=ALL_NODES if node is None else node
-            )
-            node_done = True
-    last = 0.0
-    if events_iter is None:
-        events_iter = _iter_events(source)
-        node_done = False
-    for event in events_iter:
-        if not node_done and node is not None and event.node_id != node:
-            continue
-        current["t"] = last = event.time
-        if event.kind is EventKind.ACTIVATE:
-            sas.activate(event.sentence)
-        else:
-            sas.deactivate(event.sentence)
-    if end is None:
-        end = last
-    return {
-        name: RetroAnswer(
-            name=name,
-            satisfied_time=w.total_satisfied_time(end),
-            transitions=w.transitions,
-            satisfied_at_end=w.satisfied,
-            end_time=end,
-        )
-        for name, w in watchers
-    }
-
-
 def batch_event_plan(
     source,
     questions: Sequence[PerformanceQuestion | QExpr | OrderedQuestion],
@@ -194,14 +128,19 @@ def batch_event_plan(
 ):
     """Pick the replay source for a whole question batch at once.
 
-    Mirrors :func:`evaluate_questions`' pushdown branch structure exactly
-    (same fast-path conditions, same end-time defaulting), but computes one
+    Pushdown fast path: replay only the sentences the questions' patterns
+    can observe (satisfaction cannot depend on any other sentence), as one
     union sentence-id set for *all* questions, so a columnar reader answers
-    the entire batch in a single zone-map-pruned pass instead of one scan
-    per question.  Returns ``(events, node_filtered, end)`` where ``events``
-    is the transition iterable, ``node_filtered`` says the source already
-    applied the ``node`` filter, and ``end`` is the resolved end time
-    (``None`` means "last replayed event's time", resolved by the caller).
+    the entire batch in a single zone-map-pruned pass.  When the caller
+    leaves ``end_time`` defaulted, the default is the last *replayed*
+    event's time, which a filtered replay would change -- so it comes from
+    the reader's transitions-only bound instead, and sources where that
+    bound is a full extra walk (no ``end_time`` and a node filter) keep
+    the plain replay.  Returns ``(events, node_filtered, end)`` where
+    ``events`` is the transition iterable, ``node_filtered`` says the
+    source already applied the ``node`` filter, and ``end`` is the
+    resolved end time (``None`` means "last replayed event's time",
+    resolved by the caller).
     """
     end = end_time
     if hasattr(source, "scan_transitions") and (end_time is not None or node is None):
@@ -229,17 +168,18 @@ def evaluate_question_batch(
     shards: int = 1,
     engine: MultiQuestionEngine | None = None,
 ) -> dict[str, RetroAnswer]:
-    """Answer a whole question batch in one pass over recorded history.
+    """Evaluate questions over recorded history, as if they had been live.
 
-    The batched counterpart of :func:`evaluate_questions`: instead of one
-    dedicated watcher per question re-observing every transition, all
-    questions compile into one shared
+    All questions compile into one shared
     :class:`~repro.core.multiq.MultiQuestionEngine` plan (interned patterns,
     subsumption-pruned matching, per-question dirty bits), and the recorded
-    transitions are fed through it once.  Answers are byte-identical to
-    :func:`evaluate_questions` on the same inputs -- same pushdown
-    conditions, same end-time defaults, same float accumulation order --
-    which abl11 and the property suite assert.
+    transitions, stamped with their recorded times, are fed through it
+    once, so watcher satisfied-times accumulate exactly as they did live.
+    ``node`` filters to one recording node's events (a multi-node file
+    replayed whole feeds every node's transitions into one membership set,
+    which is only meaningful if that is also how the live run was wired).
+    Open satisfied intervals are closed at ``end_time`` (default: the last
+    replayed event's time).
 
     Pass ``shards`` to partition pattern nodes across consistent-hash
     shards, or a pre-built ``engine`` to reuse one (e.g. the ``repro
@@ -266,6 +206,11 @@ def evaluate_question_batch(
         )
         for name, sub in subs
     }
+
+
+#: The single-question spelling of :func:`evaluate_question_batch` (the
+#: same function: one question is a batch of one).
+evaluate_questions = evaluate_question_batch
 
 
 def sentence_intervals(

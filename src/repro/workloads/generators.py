@@ -8,9 +8,9 @@ Two families live here:
 * **SAS event-trace generators** (`sas_sentence_pool`, `sas_event_trace`,
   `sas_questions`): seeded random vocabularies, balanced
   activation/deactivation sequences, and random questions of all three
-  kinds.  These feed the differential oracle
+  kinds.  These feed the differential suite
   (``tests/core/test_sas_differential.py``), which replays each trace
-  through the indexed and naive SAS engines and asserts identical
+  through the SAS and a naive full-rescan oracle and asserts identical
   observable state.
 """
 
@@ -260,7 +260,7 @@ def sas_questions(
     Roughly half are plain conjunction :class:`PerformanceQuestion`\\ s, the
     rest split between boolean :class:`QExpr` trees (with OR and NOT) and
     :class:`OrderedQuestion`\\ s, mirroring what the oracle must hold
-    identical across engines.
+    identical to the SAS.
     """
     rng = random.Random(seed)
     questions: list[PerformanceQuestion | QExpr | OrderedQuestion] = []

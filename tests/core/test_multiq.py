@@ -18,6 +18,8 @@ from repro.core import (
     sentence,
 )
 
+from .oracle import NaiveSAS
+
 SUM = Verb("Sum", "HPF")
 EXEC = Verb("Executes", "HPF")
 SEND = Verb("Send", "Base")
@@ -43,6 +45,22 @@ def make_pair():
     eng = MultiQuestionEngine()
     eng.attach_sas(sas)
     return clock, sas, eng
+
+
+class OracleMirror:
+    """Drives a SAS and the full-rescan oracle with the same notifications."""
+
+    def __init__(self, clock, sas):
+        self.sas = sas
+        self.oracle = NaiveSAS(clock=clock)
+
+    def activate(self, sent):
+        self.sas.activate(sent)
+        self.oracle.activate(sent)
+
+    def deactivate(self, sent):
+        self.sas.deactivate(sent)
+        self.oracle.deactivate(sent)
 
 
 # ----------------------------------------------------------------------
@@ -143,10 +161,11 @@ def test_lattice_prunes_matching(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# differential vs dedicated QuestionWatchers
+# differential vs the full-rescan oracle (tests/core/oracle.py)
 # ----------------------------------------------------------------------
 def test_matches_live_watchers_exactly():
     clock, sas, eng = make_pair()
+    both = OracleMirror(clock, sas)
     questions = [
         PerformanceQuestion("conj", (SentencePattern("Sum", ("A",)),
                                      SentencePattern("Executes", ()))),
@@ -157,7 +176,8 @@ def test_matches_live_watchers_exactly():
         OrderedQuestion("ord", (SentencePattern("Executes", ()),
                                 SentencePattern("Send", ()))),
     ]
-    watchers = [sas.attach_question(q) for q in questions]
+    watchers = [both.oracle.attach_question(q) for q in questions]
+    live = [sas.attach_question(q) for q in questions]
     subs = [eng.subscribe(q, name=f"q{i}") for i, q in enumerate(questions)]
     script = [
         (1.0, A_SUM, True), (2.0, LINE, True), (3.0, P_SEND, True),
@@ -167,32 +187,34 @@ def test_matches_live_watchers_exactly():
     ]
     for t, sent, up in script:
         clock.t = t
-        (sas.activate if up else sas.deactivate)(sent)
-    for w, sub in zip(watchers, subs, strict=True):
-        mw = sub.watcher
-        assert (w.satisfied, w.transitions, w.satisfied_time) == (
-            mw.satisfied, mw.transitions, mw.satisfied_time
-        )
-        assert w.total_satisfied_time(11.0) == mw.total_satisfied_time(11.0)
+        (both.activate if up else both.deactivate)(sent)
+    for w, lw, sub in zip(watchers, live, subs, strict=True):
+        for mw in (lw, sub.watcher):
+            assert (w.satisfied, w.transitions, w.satisfied_time) == (
+                mw.satisfied, mw.transitions, mw.satisfied_time
+            )
+            assert w.total_satisfied_time(11.0) == mw.total_satisfied_time(11.0)
 
 
 def test_nested_reactivation_is_ignored():
     clock, sas, eng = make_pair()
+    both = OracleMirror(clock, sas)
     q = QAtom(SentencePattern("Sum", ("A",)))
-    w = sas.attach_question(q)
+    w = both.oracle.attach_question(q)
+    lw = sas.attach_question(q)
     sub = eng.subscribe(q, name="q")
     clock.t = 1.0
-    sas.activate(A_SUM)
+    both.activate(A_SUM)
     clock.t = 2.0
-    sas.activate(A_SUM)  # nested: no membership change
+    both.activate(A_SUM)  # nested: no membership change
     clock.t = 3.0
-    sas.deactivate(A_SUM)  # still active (depth 1)
-    assert sub.watcher.satisfied and w.satisfied
-    assert sub.watcher.transitions == w.transitions == 1
+    both.deactivate(A_SUM)  # still active (depth 1)
+    assert sub.watcher.satisfied and lw.satisfied and w.satisfied
+    assert sub.watcher.transitions == lw.transitions == w.transitions == 1
     clock.t = 4.0
-    sas.deactivate(A_SUM)
-    assert not sub.watcher.satisfied
-    assert sub.watcher.satisfied_time == w.satisfied_time == 3.0
+    both.deactivate(A_SUM)
+    assert not sub.watcher.satisfied and not lw.satisfied
+    assert sub.watcher.satisfied_time == lw.satisfied_time == w.satisfied_time == 3.0
 
 
 def test_attach_midrun_seeds_membership():
@@ -220,19 +242,20 @@ def test_ordered_midrun_reuses_boolean_nodes_correctly():
     # nodes first referenced only by boolean questions do not maintain
     # activation entries; an OrderedQuestion subscribed mid-run that reuses
     # them must still see the true activation history (rebuilt from live
-    # membership), matching a dedicated QuestionWatcher attached at the
-    # same moment
+    # membership), matching the oracle's question attached at the same
+    # moment
     clock, sas, eng = make_pair()
+    both = OracleMirror(clock, sas)
     pat_a = SentencePattern("Sum", ("A",))
     pat_exec = SentencePattern("Executes", ())
     eng.subscribe(QAtom(pat_a), name="bool_a")
     eng.subscribe(QAtom(pat_exec), name="bool_exec")
     clock.t = 1.0
-    sas.activate(A_SUM)
+    both.activate(A_SUM)
     clock.t = 2.0
-    sas.activate(LINE)
+    both.activate(LINE)
     q = OrderedQuestion("ord", (pat_a, pat_exec))
-    dedicated = sas.attach_question(q)
+    dedicated = both.oracle.attach_question(q)
     sub = eng.subscribe(q, now=sas.clock())
     assert dedicated.satisfied  # A (1.0) precedes Executes (2.0)
     assert sub.watcher.satisfied
@@ -242,7 +265,7 @@ def test_ordered_midrun_reuses_boolean_nodes_correctly():
     ]
     for t, sent, up in script:
         clock.t = t
-        (sas.activate if up else sas.deactivate)(sent)
+        (both.activate if up else both.deactivate)(sent)
         assert sub.watcher.satisfied == dedicated.satisfied
     assert (dedicated.transitions, dedicated.satisfied_time) == (
         sub.watcher.transitions, sub.watcher.satisfied_time
@@ -260,11 +283,15 @@ def test_deactivate_unknown_raises():
 # ----------------------------------------------------------------------
 def test_intervals_and_answers_close_open_interval():
     eng = MultiQuestionEngine()
-    eng.subscribe(QAtom(SentencePattern("Sum", ())), name="q")
+    sub = eng.subscribe(QAtom(SentencePattern("Sum", ())), name="q")
+    closed = []
+    sub.watcher.on_interval.append(lambda s, e: closed.append((s, e)))
     eng.transition(A_SUM, True, 1.0)
     eng.transition(A_SUM, False, 3.0)
     eng.transition(B_SUM, True, 5.0)
-    assert eng.intervals(8.0) == {"q": [(1.0, 3.0), (5.0, 8.0)]}
+    # one closed interval; the open one starts at satisfied_since
+    assert closed == [(1.0, 3.0)]
+    assert sub.watcher.satisfied and sub.watcher.satisfied_since == 5.0
     sat_time, transitions, at_end = eng.answers(8.0)["q"]
     assert sat_time == 5.0 and transitions == 3 and at_end
     # answers() must not mutate watcher state

@@ -1,20 +1,23 @@
-"""Hypothesis property suite: the batch engine vs the naive per-question oracle.
+"""Hypothesis property suite: the question engine vs the naive oracle.
 
 For random question batches (QExpr trees with QNot, conjunctions, ordered
 questions, plus subsumption-collapsed duplicates) and random valid
 transition streams, every question's satisfied intervals, transition count,
 and accumulated satisfied-time from the shared
-:class:`~repro.core.multiq.MultiQuestionEngine` must equal a naive oracle
-that re-evaluates ``QExpr.evaluate`` / ``satisfied`` over the full active
-set after every membership change -- the engine's dirty bits, lattice
-pruning, memoized matching, sharding, and subscription dedup must all be
-pure optimizations.
+:class:`~repro.core.multiq.MultiQuestionEngine` must equal the
+``tests/core/oracle.py`` oracle that re-evaluates ``QExpr.evaluate`` /
+``satisfied`` over the full active set after every membership change -- the
+engine's dirty bits, lattice pruning, memoized matching, sharding, and
+subscription dedup must all be pure optimizations.  The same holds end to
+end: live SAS questions equal both the oracle and a retrospective replay of
+the run's recorded trace.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    ActiveSentenceSet,
     MultiQuestionEngine,
     Noun,
     OrderedQuestion,
@@ -24,9 +27,13 @@ from repro.core import (
     QNot,
     QOr,
     SentencePattern,
+    Trace,
     Verb,
     sentence,
 )
+from repro.trace.retro import evaluate_questions, question_name
+
+from .oracle import NaiveSAS, NaiveWatcher, naive_eval
 
 VERBS = ["V0", "V1", "V2"]
 NOUNS = ["N0", "N1", "N2", "N3"]
@@ -82,41 +89,18 @@ scripts = st.lists(
 )
 
 
-class NaiveWatcher:
-    """QuestionWatcher's accumulation rule, driven by full re-evaluation."""
-
-    def __init__(self):
-        self.satisfied = False
-        self.satisfied_since = 0.0
-        self.satisfied_time = 0.0
-        self.transitions = 0
-        self.intervals = []
-
-    def apply(self, new, now):
-        if new == self.satisfied:
-            return
-        self.transitions += 1
-        self.satisfied = new
-        if new:
-            self.satisfied_since = now
-        else:
-            self.satisfied_time += now - self.satisfied_since
-            self.intervals.append((self.satisfied_since, now))
-
-    def closed_intervals(self, end):
-        out = list(self.intervals)
-        if self.satisfied:
-            out.append((self.satisfied_since, end))
-        return out
+def collect_intervals(watcher):
+    """The watcher's closed intervals, collected as they close."""
+    closed = []
+    watcher.on_interval.append(lambda start, end: closed.append((start, end)))
+    return closed
 
 
-def naive_eval(question, active_with_times):
-    active = [s for s, _ in active_with_times]
-    if isinstance(question, OrderedQuestion):
-        return question.satisfied(active_with_times)
-    if isinstance(question, PerformanceQuestion):
-        return question.satisfied(active)
-    return question.evaluate(active)
+def closed_at(watcher, closed, end):
+    """``closed`` plus the watcher's open interval (if any) closed at ``end``."""
+    if watcher.satisfied:
+        return closed + [(watcher.satisfied_since, end)]
+    return closed
 
 
 def with_duplicates(batch):
@@ -138,6 +122,7 @@ def with_duplicates(batch):
 def test_engine_equals_naive_oracle(batch, script, shards):
     engine = MultiQuestionEngine(shards=shards)
     subs = [engine.subscribe(q, name=f"q{i}") for i, q in enumerate(with_duplicates(batch))]
+    closed = [collect_intervals(sub.watcher) for sub in subs]
 
     oracle = [NaiveWatcher() for _ in subs]
     oracle_qs = with_duplicates(batch)
@@ -168,12 +153,12 @@ def test_engine_equals_naive_oracle(batch, script, shards):
             w.apply(naive_eval(q, active), t)
 
     end = t + 1.0
-    for sub, w in zip(subs, oracle, strict=True):
+    for sub, ivs, w in zip(subs, closed, oracle, strict=True):
         mw = sub.watcher
         assert mw.satisfied == w.satisfied
         assert mw.transitions == w.transitions
         assert mw.satisfied_time == w.satisfied_time  # exact, not approx
-        assert mw.closed_intervals(end) == w.closed_intervals(end)
+        assert closed_at(mw, ivs, end) == w.closed_intervals(end)
 
 
 @given(
@@ -231,6 +216,7 @@ def test_midrun_subscription_equals_naive_oracle(warmup, late, script, split, sh
         elif isinstance(q, QAtom):
             late_qs.append(OrderedQuestion("reuse", (q.pattern,)))
     subs = [engine.subscribe(q, name=f"l{i}", now=t) for i, q in enumerate(late_qs)]
+    closed = [collect_intervals(sub.watcher) for sub in subs]
     oracle = [NaiveWatcher() for _ in subs]
     for w, q in zip(oracle, late_qs, strict=True):
         w.apply(naive_eval(q, active), t)
@@ -240,9 +226,72 @@ def test_midrun_subscription_equals_naive_oracle(warmup, late, script, split, sh
             w.apply(naive_eval(q, active), now)
 
     end = t + 1.0
-    for sub, w in zip(subs, oracle, strict=True):
+    for sub, ivs, w in zip(subs, closed, oracle, strict=True):
         mw = sub.watcher
         assert mw.satisfied == w.satisfied
         assert mw.transitions == w.transitions
         assert mw.satisfied_time == w.satisfied_time
-        assert mw.closed_intervals(end) == w.closed_intervals(end)
+        assert closed_at(mw, ivs, end) == w.closed_intervals(end)
+
+
+@given(
+    st.lists(questions, min_size=1, max_size=4),
+    st.lists(questions, max_size=3),
+    scripts,
+    st.integers(0, 40),
+    st.lists(patterns, max_size=2),
+)
+@settings(max_examples=150, deadline=None)
+def test_live_sas_equals_retro_replay_and_oracle(batch, late, script, split, interest_patterns):
+    """Live ``attach_question`` answers -- nesting and an interest filter
+    included -- equal the naive oracle and ``evaluate_questions`` over the
+    run's recorded trace, float for float; questions attached mid-run
+    (seeded from current membership, stamped with the SAS clock) equal
+    the oracle's."""
+    def interest(sent):
+        return any(p.matches(sent) for p in interest_patterns)
+
+    now = [0.0]
+    recorded = Trace()
+    sas = ActiveSentenceSet(
+        clock=lambda: now[0],
+        interest=interest if interest_patterns else None,
+        trace=recorded,
+    )
+    oracle = NaiveSAS(clock=lambda: now[0], interest=sas.interest)
+    live = [sas.attach_question(q) for q in batch]
+    naive = [oracle.attach_question(q) for q in batch]
+
+    def attach_late():
+        now[0] += 0.5
+        live.extend(sas.attach_question(q) for q in late)
+        naive.extend(oracle.attach_question(q) for q in late)
+
+    split = min(split, len(script))
+    for step, (idx, prefer_nested) in enumerate(script):
+        if step == split:
+            attach_late()
+        sent = SENTENCES[idx]
+        now[0] += 1.0
+        if sas.is_active(sent) and not prefer_nested:
+            sas.deactivate(sent)
+            oracle.deactivate(sent)
+        else:
+            sas.activate(sent)
+            oracle.activate(sent)
+        assert [w.satisfied for w in live] == [w.satisfied for w in naive]
+    if split == len(script):
+        attach_late()
+
+    end = now[0] + 1.0
+    for w, n in zip(live, naive, strict=True):
+        assert (w.total_satisfied_time(end), w.transitions, w.satisfied) == (
+            n.total_satisfied_time(end), n.transitions, n.satisfied
+        )
+    for q, w in zip(batch, live[: len(batch)], strict=True):
+        # one question per call: distinct QExprs can render to one name
+        # (pattern strings omit the level), and answers are keyed by name
+        answer = evaluate_questions(recorded, [q], end_time=end)[question_name(q)]
+        assert (w.total_satisfied_time(end), w.transitions, w.satisfied) == (
+            answer.satisfied_time, answer.transitions, answer.satisfied_at_end
+        )

@@ -11,21 +11,17 @@ from repro.core import (
     MappingGraph,
     MergePolicy,
     Noun,
-    OrderedQuestion,
     PerformanceQuestion,
-    QAnd,
-    QAtom,
-    QNot,
-    QOr,
     Sentence,
     SentencePattern,
     SplitPolicy,
     Verb,
     Vocabulary,
     assign_costs,
-    make_sas,
     sentence,
 )
+
+from .oracle import NaiveSAS
 
 # ----------------------------------------------------------------------
 # cost vectors
@@ -168,38 +164,16 @@ def test_question_equals_expression_form(patterns, active_idx):
 
 
 # ----------------------------------------------------------------------
-# indexed SAS engine: round-trips, interning, index superset
+# SAS and its full-rescan oracle: round-trips, interning
 # ----------------------------------------------------------------------
 ops_strategy = st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=100)
-
-expr_strategy = st.recursive(
-    st.builds(QAtom, pattern_strategy),
-    lambda children: st.one_of(
-        st.builds(lambda a, b: QAnd((a, b)), children, children),
-        st.builds(lambda a, b: QOr((a, b)), children, children),
-        st.builds(QNot, children),
-    ),
-    max_leaves=4,
-)
-
-question_strategy = st.one_of(
-    st.builds(
-        lambda ps: PerformanceQuestion("q", tuple(ps)),
-        st.lists(pattern_strategy, min_size=1, max_size=3),
-    ),
-    st.builds(
-        lambda ps: OrderedQuestion("o", tuple(ps)),
-        st.lists(pattern_strategy, min_size=1, max_size=2),
-    ),
-    expr_strategy,
-)
 
 
 @given(ops_strategy)
 def test_sas_multiset_roundtrip_unwinds_to_empty(ops):
-    """Balanced ops + a full unwind leave either engine exactly empty."""
-    for engine in ("indexed", "naive"):
-        sas = make_sas(engine, vocabulary=Vocabulary())
+    """Balanced ops + a full unwind leave the SAS and the oracle exactly empty."""
+    for engine in (ActiveSentenceSet, NaiveSAS):
+        sas = engine(vocabulary=Vocabulary())
         depth = [0] * len(SENTS)
         for idx, is_activate in ops:
             if is_activate:
@@ -232,29 +206,3 @@ def test_interning_idempotent(verb_name, noun_names, extra_copies):
         assert copy == s and hash(copy) == hash(s)
         assert vocab.intern(copy) is canonical
     assert vocab.interned_count() == 1
-
-
-@given(ops_strategy, st.lists(question_strategy, min_size=1, max_size=5))
-@settings(max_examples=200, deadline=None)
-def test_index_notification_set_covers_actual_changes(ops, questions):
-    """affected_watchers(sent) ⊇ watchers whose satisfaction changes."""
-    sas = ActiveSentenceSet()
-    watchers = [sas.attach_question(q) for q in questions]
-    depth = [0] * len(SENTS)
-    for idx, is_activate in ops:
-        sent = SENTS[idx]
-        if not is_activate and depth[idx] == 0:
-            continue
-        before = [w.satisfied for w in watchers]
-        affected = {id(w) for w in sas.affected_watchers(sent)}
-        if is_activate:
-            sas.activate(sent)
-            depth[idx] += 1
-        else:
-            sas.deactivate(sent)
-            depth[idx] -= 1
-        for w, was in zip(watchers, before, strict=True):
-            if w.satisfied != was:
-                assert id(w) in affected, (
-                    f"watcher for {w.question} changed without being notified"
-                )

@@ -141,6 +141,17 @@ def test_question_attached_against_existing_state():
     sas.activate(A_SUM)
     w = sas.attach_question(PerformanceQuestion("q", (SentencePattern("Sum", ("A",)),)))
     assert w.satisfied
+    # a mid-run question's satisfied time starts when it is attached
+    clock = ManualClock()
+    sas = ActiveSentenceSet(clock=clock)
+    clock.t = 1.0
+    sas.activate(A_SUM)
+    clock.t = 4.0
+    w = sas.attach_question(PerformanceQuestion("q", (SentencePattern("Sum", ("A",)),)))
+    assert w.satisfied and w.satisfied_since == 4.0
+    clock.t = 6.0
+    sas.deactivate(A_SUM)
+    assert w.satisfied_time == 2.0
 
 
 def test_restrict_to_questions():

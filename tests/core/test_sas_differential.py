@@ -1,9 +1,10 @@
-"""Differential oracle: indexed SAS engine vs the naive reference engine.
+"""Differential oracle: the SAS vs the naive full-rescan reference.
 
 Replays seeded random event traces (``repro.workloads.generators``) through
-:class:`ActiveSentenceSet` (pattern-indexed, incremental) and
-:class:`NaiveActiveSentenceSet` (full rescan per notification) and asserts
-the two are *observably identical*:
+:class:`ActiveSentenceSet` (questions on the shared, incremental
+``MultiQuestionEngine``) and the ``tests/core/oracle.py`` :class:`NaiveSAS`
+(full rescan per notification) and asserts the two are *observably
+identical*:
 
 * every watcher's transition sequence (direction + time), transition count,
   final satisfied flag, and accumulated satisfied time;
@@ -23,13 +24,13 @@ from repro.core import (
     ActiveSentenceSet,
     DynamicMappingRecorder,
     EventKind,
-    NaiveActiveSentenceSet,
     Trace,
     Vocabulary,
     interest_from_questions,
-    make_sas,
 )
 from repro.workloads import sas_event_trace, sas_questions, sas_sentence_pool
+
+from .oracle import NaiveSAS
 
 
 def _replay_observed(sas_factory, pool_seed, trace_seed, *, events, question_count,
@@ -86,9 +87,9 @@ def _replay_observed(sas_factory, pool_seed, trace_seed, *, events, question_cou
 
 
 def _assert_engines_agree(pool_seed, trace_seed, **config):
-    indexed = _replay_observed(ActiveSentenceSet, pool_seed, trace_seed, **config)
-    naive = _replay_observed(NaiveActiveSentenceSet, pool_seed, trace_seed, **config)
-    assert indexed == naive, (
+    live = _replay_observed(ActiveSentenceSet, pool_seed, trace_seed, **config)
+    naive = _replay_observed(NaiveSAS, pool_seed, trace_seed, **config)
+    assert live == naive, (
         f"engines diverged for pool_seed={pool_seed} trace_seed={trace_seed} "
         f"config={config}"
     )
@@ -127,7 +128,7 @@ def test_oracle_trace_count_meets_acceptance_bar():
 
 
 def test_trace_replay_into_drives_both_engines():
-    """Trace.replay_into reproduces a live run on a fresh engine."""
+    """Trace.replay_into reproduces a live run on a fresh SAS and oracle."""
     _, pool = sas_sentence_pool(7)
     questions = sas_questions(8, pool, count=4)
     events = sas_event_trace(9, pool, events=60)
@@ -141,8 +142,8 @@ def test_trace_replay_into_drives_both_engines():
         else:
             live.deactivate(sent)
 
-    for engine in ("indexed", "naive"):
-        replayed = make_sas(engine)
+    for engine in (ActiveSentenceSet, NaiveSAS):
+        replayed = engine()
         replayed_watchers = [replayed.attach_question(q) for q in questions]
         recorded.replay_into(replayed)
         assert replayed.active_sentences() == live.active_sentences()
@@ -150,29 +151,6 @@ def test_trace_replay_into_drives_both_engines():
             assert rw.satisfied == lw.satisfied
             assert rw.transitions == lw.transitions
             assert rw.satisfied_time == pytest.approx(lw.satisfied_time)
-
-
-def test_make_sas_selects_engines():
-    assert type(make_sas()) is ActiveSentenceSet
-    assert type(make_sas("naive")) is NaiveActiveSentenceSet
-    with pytest.raises(ValueError):
-        make_sas("quantum")
-
-
-def test_detach_question_unregisters_from_index():
-    sas = ActiveSentenceSet()
-    _, pool = sas_sentence_pool(3)
-    questions = sas_questions(4, pool, count=6)
-    watchers = [sas.attach_question(q) for q in questions]
-    for w in watchers:
-        sas.detach_question(w)
-    assert sas.watchers == []
-    assert not sas._watch_index
-    assert not sas._watch_all
-    # transitions after detach touch nobody
-    before = [w.transitions for w in watchers]
-    sas.activate(pool[0])
-    assert [w.transitions for w in watchers] == before
 
 
 def test_interning_keeps_engines_aligned_across_equal_copies():
@@ -186,7 +164,7 @@ def test_interning_keeps_engines_aligned_across_equal_copies():
         return type(sent)(sent.verb, tuple(sent.nouns))
 
     results = []
-    for engine in (ActiveSentenceSet, NaiveActiveSentenceSet):
+    for engine in (ActiveSentenceSet, NaiveSAS):
         sas = engine(vocabulary=Vocabulary())
         watchers = [sas.attach_question(q) for q in questions]
         for kind, sent in events:

@@ -177,3 +177,21 @@ class TestPredicates:
         assert gate(1, {})
         sases[1].deactivate(a_sum)
         assert not gate(1, {})
+
+    def test_sas_gated_request_repr_names_the_question(self):
+        # SASGate's repr reads watcher.question, and the request's dataclass
+        # repr embeds the gate: a Paradyn array focus renders its question
+        from repro.cmfortran import compile_source
+        from repro.paradyn import Paradyn
+
+        src = "PROGRAM DEMO\n  REAL A(1024)\n  A = 1.0\n  ASUM = SUM(A)\nEND\n"
+        tool = Paradyn.for_program(compile_source(src, "demo.cmf"), num_nodes=2)
+        instance = tool.request_metric("summation_time", focus={"array": "A"})
+        entry, exit_ = instance.compiled.requests
+        assert repr(entry) == (
+            "InstrumentationRequest(point='cmrts.reduce', phase='entry', "
+            "action=StartTimer(timer=<Timer summation_time<array=A> [process] 0s>), "
+            "predicate=((ctx.verb == 'Sum') AND SASGate({A ?})), "
+            "label='summation_time<array=A>')"
+        )
+        assert "SASGate({A ?})" in repr(exit_)

@@ -125,6 +125,33 @@ def test_two_overlapping_subscribers_match_retro_oracle(db_trace):
             assert ans["satisfied_at_end"] == ref.satisfied_at_end
 
 
+def test_interval_open_at_end_is_streamed_closed_at_end_time(tmp_path):
+    # {A Sum} is satisfied over [1, 2] and again from 3 until the last
+    # recorded transition (5): the server streams the closed interval as
+    # it happens and the open one, from satisfied_since to end_time, after
+    # the replay -- the client's sum must equal the summary exactly
+    from repro.core import EventKind, Noun, Verb, sentence
+    from repro.trace import ColumnarTraceWriter
+
+    a_sum = sentence(Verb("Sum", "HPF"), Noun("A", "HPF"))
+    b_sum = sentence(Verb("Sum", "HPF"), Noun("B", "HPF"))
+    path = tmp_path / "open.rtrcx"
+    writer = ColumnarTraceWriter(path)
+    for t, kind, sent in [
+        (1.0, EventKind.ACTIVATE, a_sum), (2.0, EventKind.DEACTIVATE, a_sum),
+        (3.0, EventKind.ACTIVATE, a_sum), (5.0, EventKind.ACTIVATE, b_sum),
+    ]:
+        writer.transition(t, kind, sent, 0)
+    writer.close()
+    spec = QuestionSpec(patterns=("{A Sum}",))
+    [(payload, divergence)] = asyncio.run(_serve_batch(TraceSource(str(path)), [[spec]]))
+    assert divergence == 0
+    assert payload["_end_time"] == 5.0
+    assert payload["questions"]["{A Sum}"] == {
+        "satisfied_time": 3.0, "transitions": 3, "satisfied_at_end": True,
+    }
+
+
 def test_live_db_source_round_trip():
     spec = QuestionSpec(patterns=("{Q0 QueryActive}", "{server0 DiskRead}"))
     [(payload, divergence)] = asyncio.run(

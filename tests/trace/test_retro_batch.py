@@ -1,9 +1,12 @@
-"""evaluate_question_batch vs evaluate_questions: byte-identical answers.
+"""Retrospective answers vs the full-rescan oracle: byte-identical.
 
-The batched engine (one shared MultiQuestionEngine pass) must reproduce the
-per-question retrospective engine exactly -- same satisfied_time floats,
-same transition counts, same end-time defaulting -- across random traces,
-both storage layouts, node filters, and explicit end times.
+``evaluate_question_batch`` (one shared MultiQuestionEngine pass, with
+sentence-id pushdown, zone-map pruning, dead-question pruning and shards)
+and its single-question spelling ``evaluate_questions`` must reproduce the
+``tests/core/oracle.py`` replay of every recorded event exactly -- same
+satisfied_time floats, same transition counts, same end-time defaulting --
+across random traces, both storage layouts, node filters, and explicit end
+times.
 """
 
 import pytest
@@ -17,8 +20,10 @@ from repro.core import (
     SentencePattern,
 )
 from repro.trace.columnar import ColumnarTraceWriter, open_trace
-from repro.trace.retro import evaluate_question_batch, evaluate_questions
+from repro.trace.retro import evaluate_question_batch, evaluate_questions, question_name
 from repro.workloads.fuzz import random_trace
+
+from ..core.oracle import naive_answers
 
 SEEDS = range(12)
 
@@ -37,25 +42,23 @@ def questions_for(trace):
     ]
 
 
-def assert_identical(a, b):
-    assert a.keys() == b.keys()
-    for name in a:
-        ra, rb = a[name], b[name]
+def assert_identical(answers, reference):
+    assert answers.keys() == reference.keys()
+    for name, a in answers.items():
         assert (
-            ra.satisfied_time,
-            ra.transitions,
-            ra.satisfied_at_end,
-            ra.end_time,
-        ) == (rb.satisfied_time, rb.transitions, rb.satisfied_at_end, rb.end_time), name
+            a.satisfied_time, a.transitions, a.satisfied_at_end, a.end_time
+        ) == reference[name], name
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_in_memory_trace_batch_identical(seed):
     trace = random_trace(seed, events=300, nodes=2, sentences=14)
     qs = questions_for(trace)
-    assert_identical(
-        evaluate_questions(trace, qs), evaluate_question_batch(trace, qs)
-    )
+    reference = naive_answers(trace.events(), qs)
+    assert_identical(evaluate_question_batch(trace, qs), reference)
+    for q in qs:
+        name = question_name(q)
+        assert_identical(evaluate_questions(trace, [q]), {name: reference[name]})
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -70,8 +73,8 @@ def test_columnar_pushdown_batch_identical(tmp_path, seed, shards):
     with open_trace(str(path)) as reader:
         for kwargs in ({}, {"end_time": 9.0}, {"node": 0}, {"node": 1, "end_time": 4.0}):
             assert_identical(
-                evaluate_questions(reader, qs, **kwargs),
                 evaluate_question_batch(reader, qs, shards=shards, **kwargs),
+                naive_answers(trace.events(), qs, **kwargs),
             )
 
 
@@ -86,7 +89,7 @@ def test_wildcard_question_disables_pushdown_identically(tmp_path):
     writer.close()
     with open_trace(str(path)) as reader:
         assert_identical(
-            evaluate_questions(reader, qs), evaluate_question_batch(reader, qs)
+            evaluate_question_batch(reader, qs), naive_answers(trace.events(), qs)
         )
 
 
@@ -120,8 +123,7 @@ def test_dead_questions_prune_scan_but_answers_are_identical(tmp_path, seed):
     writer.close()
     with open_trace(str(path)) as reader:
         batched = evaluate_question_batch(reader, qs)
-        reference = evaluate_questions(reader, qs)
-    assert_identical(reference, batched)
+    assert_identical(batched, naive_answers(trace.events(), qs))
     for name in ("dead_conj", "dead_ord"):
         assert batched[name].satisfied_time == 0.0
         assert batched[name].transitions == 0
