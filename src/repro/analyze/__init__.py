@@ -23,58 +23,24 @@ information:
 * :mod:`.driver` -- the ``repro lint`` entry point tying them together.
 """
 
-from .cmfpass import analyze_program
-from .deadq import (
-    DeclaredVocabulary,
-    analyze_document_questions,
-    analyze_question_set,
-    pattern_dead_reason,
-    question_implied_by,
-    table_dead_patterns,
-)
-from .diagnostics import CODES, Diagnostic, Severity, counts, diag, max_severity
-from .driver import (
-    LintResult,
-    format_json,
-    format_text,
-    lint_paths,
-    sort_diagnostics,
-)
-from .flow import FlowReport, SourceVerdict, analyze_flow, verify_graph
-from .mdlpass import analyze_mdl, guard_unsat_reason
-from .nv import analyze_pif, merge_documents
-from .sanitize import builtin_level_ranks, sanitize_trace
-from .sarif import SARIF_VERSION, format_sarif
+from .._lazy import attach
 
-__all__ = [
-    "CODES",
-    "DeclaredVocabulary",
-    "Diagnostic",
-    "FlowReport",
-    "LintResult",
-    "SARIF_VERSION",
-    "Severity",
-    "SourceVerdict",
-    "analyze_document_questions",
-    "analyze_flow",
-    "analyze_mdl",
-    "analyze_pif",
-    "analyze_program",
-    "analyze_question_set",
-    "builtin_level_ranks",
-    "counts",
-    "diag",
-    "format_json",
-    "format_sarif",
-    "format_text",
-    "guard_unsat_reason",
-    "lint_paths",
-    "max_severity",
-    "merge_documents",
-    "pattern_dead_reason",
-    "question_implied_by",
-    "sanitize_trace",
-    "sort_diagnostics",
-    "table_dead_patterns",
-    "verify_graph",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "cmfpass": ("analyze_program",),
+        "deadq": (
+            "DeclaredVocabulary", "analyze_document_questions", "analyze_question_set",
+            "pattern_dead_reason", "question_implied_by", "table_dead_patterns",
+        ),
+        "diagnostics": (
+            "CODES", "Diagnostic", "Severity", "counts", "diag", "max_severity", "sort_diagnostics",
+        ),
+        "driver": ("LintResult", "format_json", "format_text", "lint_paths"),
+        "flow": ("FlowReport", "SourceVerdict", "analyze_flow", "verify_graph"),
+        "mdlpass": ("analyze_mdl", "guard_unsat_reason"),
+        "nv": ("analyze_pif", "merge_documents"),
+        "sanitize": ("builtin_level_ranks", "sanitize_trace"),
+        "sarif": ("SARIF_VERSION", "format_sarif"),
+    },
+)

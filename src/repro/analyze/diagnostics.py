@@ -13,7 +13,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["Severity", "Diagnostic", "CODES", "diag", "max_severity", "counts"]
+__all__ = [
+    "Severity", "Diagnostic", "CODES", "diag", "max_severity", "counts", "sort_diagnostics",
+]
 
 
 class Severity(enum.IntEnum):
@@ -121,3 +123,23 @@ def counts(diagnostics: list[Diagnostic]) -> dict[str, int]:
     for d in diagnostics:
         out[d.severity.label] += 1
     return out
+
+
+def sort_diagnostics(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
+    """Deterministic presentation order: ``(file, line, col, code)``.
+
+    Every formatter sorts through here, so output is independent of pass
+    emission order (record index and message break the remaining ties --
+    the order is total, not merely stable).
+    """
+    return sorted(
+        diagnostics,
+        key=lambda d: (
+            d.path,
+            d.line if d.line is not None else -1,
+            d.col if d.col is not None else -1,
+            d.code,
+            d.record if d.record is not None else -1,
+            d.message,
+        ),
+    )

@@ -17,28 +17,22 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from ..cmfortran import compile_source
-from ..cmrts.dispatch import POINTS
-from ..cmrts.nv import standard_vocabulary
+from ..cmrts.nv import POINTS, standard_vocabulary
 from ..mdl.library import standard_metrics
 from ..mdl.parser import parse_mdl
-from ..pif import generate_pif
-from ..pif import load as load_pif
+from ..pif.format import load as load_pif
 from ..pif.records import PIFDocument
-from .cmfpass import analyze_program
 from .deadq import analyze_document_questions
-from .diagnostics import Diagnostic, Severity, counts, diag, max_severity
+from .diagnostics import Diagnostic, Severity, counts, diag, max_severity, sort_diagnostics
 from .flow import analyze_flow
 from .mdlpass import analyze_mdl
 from .nv import analyze_pif, merge_documents
-from .sanitize import sanitize_trace
 
 __all__ = [
     "LintResult",
     "lint_paths",
     "format_text",
     "format_json",
-    "sort_diagnostics",
 ]
 
 #: pseudo-path the --mdl-library input is reported under
@@ -155,6 +149,10 @@ def lint_paths(
         docs.append((path, doc))
         pif_docs.append((path, doc))
 
+    if by_kind["cmf"]:
+        from ..cmfortran.program import compile_source
+        from ..pif.generator import generate_pif
+        from .cmfpass import analyze_program
     for path in by_kind["cmf"]:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -219,10 +217,11 @@ def lint_paths(
 
     # ---- traces, sanitized against every static document
     static_docs = [doc for _path, doc in docs]
+    if by_kind["rtrc"]:
+        from ..trace.columnar import open_trace
+        from .sanitize import sanitize_trace
     for path in by_kind["rtrc"]:
         try:
-            from ..trace import open_trace
-
             reader = open_trace(path)
         except Exception as exc:
             out.append(diag("NV000", f"cannot read trace: {exc}", path))
@@ -235,26 +234,6 @@ def lint_paths(
 # ----------------------------------------------------------------------
 # output formats
 # ----------------------------------------------------------------------
-def sort_diagnostics(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
-    """Deterministic presentation order: ``(file, line, col, code)``.
-
-    Every formatter sorts through here, so output is independent of pass
-    emission order (record index and message break the remaining ties --
-    the order is total, not merely stable).
-    """
-    return sorted(
-        diagnostics,
-        key=lambda d: (
-            d.path,
-            d.line if d.line is not None else -1,
-            d.col if d.col is not None else -1,
-            d.code,
-            d.record if d.record is not None else -1,
-            d.message,
-        ),
-    )
-
-
 def format_text(result: LintResult) -> str:
     lines = [d.render() for d in sort_diagnostics(result.diagnostics)]
     c = result.counts()

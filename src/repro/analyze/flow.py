@@ -52,7 +52,7 @@ from .diagnostics import Diagnostic, diag
 from .nv import _check_mappings, _ref_levels
 
 if TYPE_CHECKING:
-    from ..core import Sentence
+    from ..core.nouns import Sentence
     from ..core.mapping import MappingGraph
 
 __all__ = ["FlowReport", "SourceVerdict", "analyze_flow", "verify_graph"]

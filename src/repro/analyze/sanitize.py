@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from ..core import Sentence
+from ..core.nouns import Sentence
 from ..pif.records import PIFDocument
 from ..trace.retro import sentence_intervals
 from .diagnostics import Diagnostic, diag

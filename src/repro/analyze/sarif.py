@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 
-from .diagnostics import CODES, Diagnostic, Severity
-from .driver import LintResult, sort_diagnostics
+from .diagnostics import CODES, Diagnostic, Severity, sort_diagnostics
+from .driver import LintResult
 
 __all__ = ["SARIF_VERSION", "format_sarif"]
 

@@ -25,12 +25,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cmfortran import compile_source
-from .cmrts import run_program
-from .mdl import FIGURE9_ROWS, standard_metrics
-from .paradyn import Paradyn, PerformanceConsultant, text_table
-from .pif import dumps as pif_dumps, generate_pif
-
 __all__ = ["main", "build_parser"]
 
 
@@ -371,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str, optimize: bool = True):
+    from .cmfortran import compile_source
+
     source = Path(path).read_text(encoding="utf-8")
     return compile_source(source, source_file=path, optimize=optimize)
 
@@ -392,6 +388,8 @@ def _parse_metric_spec(spec: str) -> tuple[str, dict]:
 
 
 def _cmd_compile(args) -> int:
+    from .pif import dumps as pif_dumps, generate_pif
+
     program = _load(args.file, optimize=not args.no_optimize)
     print(f"program {program.name}: {len(program.plan.blocks)} node code blocks")
     for block in program.plan.blocks:
@@ -410,6 +408,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .cmrts import run_program
+
     program = _load(args.file)
     runtime = run_program(program, num_nodes=args.nodes)
     print(f"completed in {runtime.elapsed * 1e3:.4f} virtual ms on {args.nodes} nodes")
@@ -421,6 +421,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from .paradyn import Paradyn, text_table
+
     program = _load(args.file)
     tool = Paradyn.for_program(program, num_nodes=args.nodes)
     for spec in args.metric:
@@ -447,6 +449,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_consultant(args) -> int:
+    from .paradyn import PerformanceConsultant
+
     program = _load(args.file)
     consultant = PerformanceConsultant(
         program, num_nodes=args.nodes, threshold=args.threshold
@@ -457,6 +461,9 @@ def _cmd_consultant(args) -> int:
 
 
 def _cmd_metrics(_args) -> int:
+    from .mdl import FIGURE9_ROWS, standard_metrics
+    from .paradyn import text_table
+
     library = standard_metrics()
     rows = [
         (level, name, library[name].style, library[name].units, library[name].description)
@@ -548,7 +555,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_fuzz(args) -> int:
     import numpy as np
 
-    from .cmfortran import interpret
+    from .cmfortran import compile_source, interpret
     from .cmrts import run_program
     from .workloads import random_program
     from .workloads.fuzz import FuzzConfig
@@ -812,8 +819,7 @@ def _cmd_lint(args) -> int:
 
 
 def _mapc_check(args) -> int:
-    from .analyze import LintResult, Severity, format_json, format_sarif
-    from .analyze.diagnostics import counts
+    from .analyze import Severity, counts
     from .mapdsl import check_map
 
     results = [
@@ -822,6 +828,8 @@ def _mapc_check(args) -> int:
     ]
     diagnostics = [d for r in results for d in r.diagnostics]
     if args.format in ("json", "sarif"):
+        from .analyze import LintResult, format_json, format_sarif
+
         formatter = format_sarif if args.format == "sarif" else format_json
         print(formatter(LintResult(diagnostics=diagnostics, inputs=list(args.files))))
     else:

@@ -6,121 +6,31 @@ runtime, and a compiler listing file that the PIF generator parses -- the
 same compiler-output-to-PIF pipeline described in Section 6.2 of the paper.
 """
 
-from .ast import (
-    Assignment,
-    BinOp,
-    CallStmt,
-    DoLoop,
-    Entity,
-    Expr,
-    Forall,
-    Ident,
-    LayoutDecl,
-    Num,
-    Program,
-    Ref,
-    Stmt,
-    TypeDecl,
-    UnaryOp,
-    walk_exprs,
-)
-from .interp import Interpreter, interpret
-from .intrinsics import EvalError, combine, eval_expr, REDUCE_FUNCS, REDUCE_IDENTITY
-from .ir import (
-    BlockOp,
-    DispatchStep,
-    Elementwise,
-    ExecutionPlan,
-    HaloExchange,
-    LocalReduce,
-    LoopStep,
-    NodeCodeBlock,
-    PlanStep,
-    Scan,
-    ScalarStep,
-    Shift,
-    Sort,
-    Transpose,
-)
-from .lexer import LexError, Token, tokenize
-from .listing import LISTING_HEADER, emit_listing
-from .lowering import LoweringResult, lower
-from .parser import ParseError, parse, parse_expression
-from .program import CompiledProgram, compile_ast, compile_source
-from .semantics import (
-    ELEMENTWISE_INTRINSICS,
-    REDUCTION_INTRINSICS,
-    TRANSFORM_INTRINSICS,
-    AnalyzedProgram,
-    ArraySymbol,
-    ScalarSymbol,
-    SemanticError,
-    StmtClass,
-    SymbolTable,
-    analyze,
-    const_int,
-)
+from .._lazy import attach
 
-__all__ = [
-    "AnalyzedProgram",
-    "ArraySymbol",
-    "Assignment",
-    "BinOp",
-    "BlockOp",
-    "CallStmt",
-    "CompiledProgram",
-    "DispatchStep",
-    "DoLoop",
-    "ELEMENTWISE_INTRINSICS",
-    "Elementwise",
-    "Entity",
-    "EvalError",
-    "ExecutionPlan",
-    "Expr",
-    "Forall",
-    "HaloExchange",
-    "Ident",
-    "Interpreter",
-    "LISTING_HEADER",
-    "LayoutDecl",
-    "LexError",
-    "LocalReduce",
-    "LoopStep",
-    "LoweringResult",
-    "NodeCodeBlock",
-    "Num",
-    "ParseError",
-    "PlanStep",
-    "Program",
-    "REDUCE_FUNCS",
-    "REDUCE_IDENTITY",
-    "REDUCTION_INTRINSICS",
-    "Ref",
-    "Scan",
-    "ScalarStep",
-    "ScalarSymbol",
-    "SemanticError",
-    "Shift",
-    "Sort",
-    "Stmt",
-    "StmtClass",
-    "SymbolTable",
-    "TRANSFORM_INTRINSICS",
-    "Token",
-    "Transpose",
-    "TypeDecl",
-    "UnaryOp",
-    "analyze",
-    "combine",
-    "compile_ast",
-    "compile_source",
-    "const_int",
-    "emit_listing",
-    "eval_expr",
-    "interpret",
-    "lower",
-    "parse",
-    "parse_expression",
-    "tokenize",
-    "walk_exprs",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "ast": (
+            "Assignment", "BinOp", "CallStmt", "DoLoop", "Entity", "Expr", "Forall", "Ident",
+            "LayoutDecl", "Num", "Program", "Ref", "Stmt", "TypeDecl", "UnaryOp", "walk_exprs",
+        ),
+        "interp": ("Interpreter", "interpret"),
+        "intrinsics": ("EvalError", "combine", "eval_expr", "REDUCE_FUNCS", "REDUCE_IDENTITY"),
+        "ir": (
+            "BlockOp", "DispatchStep", "Elementwise", "ExecutionPlan", "HaloExchange",
+            "LocalReduce", "LoopStep", "NodeCodeBlock", "PlanStep", "Scan", "ScalarStep", "Shift",
+            "Sort", "Transpose",
+        ),
+        "lexer": ("LexError", "Token", "tokenize"),
+        "listing": ("LISTING_HEADER", "emit_listing"),
+        "lowering": ("LoweringResult", "lower"),
+        "parser": ("ParseError", "parse", "parse_expression"),
+        "program": ("CompiledProgram", "compile_ast", "compile_source"),
+        "semantics": (
+            "ELEMENTWISE_INTRINSICS", "REDUCTION_INTRINSICS", "TRANSFORM_INTRINSICS",
+            "AnalyzedProgram", "ArraySymbol", "ScalarSymbol", "SemanticError", "StmtClass",
+            "SymbolTable", "analyze", "const_int",
+        ),
+    },
+)

@@ -7,76 +7,25 @@ instrumentation points and SAS notification sites, and the control-processor
 runtime that executes compiled CMF programs.
 """
 
-from .alloc import AllocationEvent, AllocationManager
-from .arrays import ParallelArray, block_ranges, owner_of
-from .comm import (
-    NodeComm,
-    Transfer,
-    chain_exclusive_scan,
-    plan_redistribution,
-    plan_shift_transfers,
-    plan_transpose_transfers,
-    tree_broadcast_from_zero,
-    tree_reduce_to_zero,
-)
-from .dispatch import POINTS, NodeWorker, block_verb_for_array
-from .nv import (
-    BASE_LEVEL,
-    BASE_VERBS,
-    CMF_LEVEL,
-    CMF_VERBS,
-    CMRTS_LEVEL,
-    CMRTS_VERBS,
-    TRANSFORM_VERB_NAMES,
-    array_noun,
-    array_op,
-    block_noun,
-    cmrts_activity,
-    line_executes,
-    line_noun,
-    node_noun,
-    processor_noun,
-    processor_sends,
-    standard_vocabulary,
-)
-from .runtime import CMRTSRuntime, RuntimeConfig, ScalarEnv, run_program
+from .._lazy import attach
 
-__all__ = [
-    "AllocationEvent",
-    "AllocationManager",
-    "BASE_LEVEL",
-    "BASE_VERBS",
-    "CMF_LEVEL",
-    "CMF_VERBS",
-    "CMRTS_LEVEL",
-    "CMRTS_VERBS",
-    "CMRTSRuntime",
-    "NodeComm",
-    "NodeWorker",
-    "POINTS",
-    "ParallelArray",
-    "RuntimeConfig",
-    "ScalarEnv",
-    "TRANSFORM_VERB_NAMES",
-    "Transfer",
-    "array_noun",
-    "array_op",
-    "block_noun",
-    "block_ranges",
-    "block_verb_for_array",
-    "chain_exclusive_scan",
-    "cmrts_activity",
-    "line_executes",
-    "line_noun",
-    "node_noun",
-    "owner_of",
-    "plan_redistribution",
-    "plan_shift_transfers",
-    "plan_transpose_transfers",
-    "processor_noun",
-    "processor_sends",
-    "run_program",
-    "standard_vocabulary",
-    "tree_broadcast_from_zero",
-    "tree_reduce_to_zero",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "alloc": ("AllocationEvent", "AllocationManager"),
+        "arrays": ("ParallelArray", "block_ranges", "owner_of"),
+        "comm": (
+            "NodeComm", "Transfer", "chain_exclusive_scan", "plan_redistribution",
+            "plan_shift_transfers", "plan_transpose_transfers", "tree_broadcast_from_zero",
+            "tree_reduce_to_zero",
+        ),
+        "dispatch": ("NodeWorker", "block_verb_for_array"),
+        "nv": (
+            "POINTS", "BASE_LEVEL", "BASE_VERBS", "CMF_LEVEL", "CMF_VERBS", "CMRTS_LEVEL",
+            "CMRTS_VERBS", "TRANSFORM_VERB_NAMES", "array_noun", "array_op", "block_noun",
+            "cmrts_activity", "line_executes", "line_noun", "node_noun", "processor_noun",
+            "processor_sends", "standard_vocabulary",
+        ),
+        "runtime": ("CMRTSRuntime", "RuntimeConfig", "ScalarEnv", "run_program"),
+    },
+)

@@ -19,12 +19,12 @@ data path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
-import numpy as np
+from ..machine.network import CONTROL_PROCESSOR, Network
 
-from ..machine import Network
-from ..machine.network import CONTROL_PROCESSOR
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "NodeComm",

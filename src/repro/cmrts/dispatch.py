@@ -46,30 +46,12 @@ from .comm import (
     tree_broadcast_from_zero,
     tree_reduce_to_zero,
 )
-from .nv import array_op, cmrts_activity, line_executes, processor_sends
+from .nv import POINTS, array_op, cmrts_activity, line_executes, processor_sends
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import CMRTSRuntime
 
 __all__ = ["POINTS", "NodeWorker", "block_verb_for_array"]
-
-#: Every instrumentation point the CMRTS runtime exposes (entry+exit each,
-#: except the pure-count points marked "entry only" in their description).
-POINTS = (
-    "cmrts.idle",  # waiting for the control processor
-    "cmrts.node_activation",  # dispatch received (entry only)
-    "cmrts.argument_processing",  # unpacking broadcast arguments
-    "cmrts.broadcast",  # broadcast reception (entry only)
-    "cmrts.cleanup",  # vector-unit reset
-    "cmrts.compute",  # elementwise node computation
-    "cmrts.reduce",  # local reduce + global combine
-    "cmrts.shift",  # CSHIFT/EOSHIFT remap
-    "cmrts.transpose",  # all-to-all transpose
-    "cmrts.scan",  # prefix scan
-    "cmrts.sort",  # parallel sample sort
-    "cmrts.p2p",  # each point-to-point send (entry/exit around occupation)
-    "cmrts.block",  # whole node-code-block execution
-)
 
 
 def block_verb_for_array(block: NodeCodeBlock, array: str) -> str:

@@ -14,9 +14,10 @@ Three levels of abstraction, as in Sections 5-6:
 
 from __future__ import annotations
 
-from ..core import AbstractionLevel, Noun, Sentence, Verb, Vocabulary
+from ..core.nouns import AbstractionLevel, Noun, Sentence, Verb, Vocabulary
 
 __all__ = [
+    "POINTS",
     "CMF_LEVEL",
     "CMRTS_LEVEL",
     "BASE_LEVEL",
@@ -33,6 +34,24 @@ __all__ = [
     "cmrts_activity",
     "processor_sends",
 ]
+
+#: Every instrumentation point the CMRTS runtime exposes (entry+exit each,
+#: except the pure-count points marked "entry only" in their description).
+POINTS = (
+    "cmrts.idle",  # waiting for the control processor
+    "cmrts.node_activation",  # dispatch received (entry only)
+    "cmrts.argument_processing",  # unpacking broadcast arguments
+    "cmrts.broadcast",  # broadcast reception (entry only)
+    "cmrts.cleanup",  # vector-unit reset
+    "cmrts.compute",  # elementwise node computation
+    "cmrts.reduce",  # local reduce + global combine
+    "cmrts.shift",  # CSHIFT/EOSHIFT remap
+    "cmrts.transpose",  # all-to-all transpose
+    "cmrts.scan",  # prefix scan
+    "cmrts.sort",  # parallel sample sort
+    "cmrts.p2p",  # each point-to-point send (entry/exit around occupation)
+    "cmrts.block",  # whole node-code-block execution
+)
 
 CMF_LEVEL = AbstractionLevel(2, "CM Fortran", "data-parallel source level")
 CMRTS_LEVEL = AbstractionLevel(1, "CMRTS", "CM run-time system level")

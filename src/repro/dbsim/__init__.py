@@ -1,24 +1,13 @@
 """Distributed database study: cross-node SAS communication (Section 4.2.3)."""
 
-from .bus import BusConfig, BusStats, FaultPlan, ForwardingBus, Subscription
-from .forwarding import SASForwarder
-from .model import DB_LEVEL, Query, db_vocabulary, query_active, server_disk_read
-from .study import CLIENT_NODE, SERVER_NODE, DBOutcome, run_db_study
+from .._lazy import attach
 
-__all__ = [
-    "BusConfig",
-    "BusStats",
-    "CLIENT_NODE",
-    "DB_LEVEL",
-    "DBOutcome",
-    "FaultPlan",
-    "ForwardingBus",
-    "Query",
-    "SASForwarder",
-    "SERVER_NODE",
-    "Subscription",
-    "db_vocabulary",
-    "query_active",
-    "run_db_study",
-    "server_disk_read",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "bus": ("BusConfig", "BusStats", "FaultPlan", "ForwardingBus", "Subscription"),
+        "forwarding": ("SASForwarder",),
+        "model": ("DB_LEVEL", "Query", "db_vocabulary", "query_active", "server_disk_read"),
+        "study": ("CLIENT_NODE", "SERVER_NODE", "DBOutcome", "run_db_study"),
+    },
+)

@@ -38,7 +38,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..core import ActiveSentenceSet, Sentence
+from ..core.nouns import Sentence
+from ..core.sas import ActiveSentenceSet
 from ..machine.network import Message, Network
 from ..paradyn.histogram import TimeHistogram
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..core import ActiveSentenceSet, Sentence
+from ..core.nouns import Sentence
+from ..core.sas import ActiveSentenceSet
 from ..machine.sim import Simulator
 
 __all__ = ["SASForwarder"]

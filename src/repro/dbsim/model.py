@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core import AbstractionLevel, Noun, Sentence, Verb, Vocabulary
+from ..core.nouns import AbstractionLevel, Noun, Sentence, Verb, Vocabulary
 
 __all__ = [
     "DB_LEVEL",

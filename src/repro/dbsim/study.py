@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Sequence
 
-from ..core import ActiveSentenceSet, PerformanceQuestion, SentencePattern
-from ..machine import Machine, MachineConfig
+from ..core.questions import PerformanceQuestion, SentencePattern
+from ..core.sas import ActiveSentenceSet
+from ..machine.machine import Machine, MachineConfig
 from ..cmrts.comm import NodeComm
 from .bus import BusConfig, FaultPlan, ForwardingBus
 from .forwarding import SASForwarder

@@ -3,55 +3,21 @@ that inserts/removes them in a running application (after Hollingsworth,
 Miller & Cargille), plus the sentence-notification sites feeding the SAS.
 """
 
-from .manager import (
-    Action,
-    IncrementCounter,
-    InsertedHandle,
-    InstrumentationManager,
-    InstrumentationRequest,
-    StartTimer,
-    StopTimer,
-)
-from .notify import SentenceNotifier
-from .predicates import (
-    TRUE,
-    AndPredicate,
-    ContextContains,
-    ContextEquals,
-    FnPredicate,
-    NotPredicate,
-    OrPredicate,
-    Predicate,
-    SASGate,
-    TruePredicate,
-)
-from .primitives import PROCESS, WALL, Counter, Timer
-from .probes import NullProbe, PointContext, Probe
+from .._lazy import attach
 
-__all__ = [
-    "Action",
-    "AndPredicate",
-    "ContextContains",
-    "ContextEquals",
-    "Counter",
-    "FnPredicate",
-    "IncrementCounter",
-    "InsertedHandle",
-    "InstrumentationManager",
-    "InstrumentationRequest",
-    "NotPredicate",
-    "NullProbe",
-    "OrPredicate",
-    "PointContext",
-    "PROCESS",
-    "Predicate",
-    "Probe",
-    "SASGate",
-    "SentenceNotifier",
-    "StartTimer",
-    "StopTimer",
-    "Timer",
-    "TRUE",
-    "TruePredicate",
-    "WALL",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "manager": (
+            "Action", "IncrementCounter", "InsertedHandle", "InstrumentationManager",
+            "InstrumentationRequest", "StartTimer", "StopTimer",
+        ),
+        "notify": ("SentenceNotifier",),
+        "predicates": (
+            "TRUE", "AndPredicate", "ContextContains", "ContextEquals", "FnPredicate",
+            "NotPredicate", "OrPredicate", "Predicate", "SASGate", "TruePredicate",
+        ),
+        "primitives": ("PROCESS", "WALL", "Counter", "Timer"),
+        "probes": ("NullProbe", "PointContext", "Probe"),
+    },
+)

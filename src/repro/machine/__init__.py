@@ -8,38 +8,18 @@ processor (:mod:`~repro.machine.control`), assembled by
 :class:`~repro.machine.machine.Machine`.
 """
 
-from .control import ControlProcessor
-from .machine import Machine, MachineConfig
-from .network import CONTROL_PROCESSOR, Message, MessageEvent, Network, NetworkConfig
-from .node import Node, TimeAccounts
-from .sim import (
-    Channel,
-    ChannelGet,
-    Process,
-    ProcessCrashed,
-    Signal,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
+from .._lazy import attach
 
-__all__ = [
-    "Channel",
-    "ChannelGet",
-    "CONTROL_PROCESSOR",
-    "ControlProcessor",
-    "Machine",
-    "MachineConfig",
-    "Message",
-    "MessageEvent",
-    "Network",
-    "NetworkConfig",
-    "Node",
-    "Process",
-    "ProcessCrashed",
-    "Signal",
-    "SimulationError",
-    "Simulator",
-    "TimeAccounts",
-    "Timeout",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "control": ("ControlProcessor",),
+        "machine": ("Machine", "MachineConfig"),
+        "network": ("CONTROL_PROCESSOR", "Message", "MessageEvent", "Network", "NetworkConfig"),
+        "node": ("Node", "TimeAccounts"),
+        "sim": (
+            "Channel", "ChannelGet", "Process", "ProcessCrashed", "Signal", "SimulationError",
+            "Simulator", "Timeout",
+        ),
+    },
+)

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..analyze.deadq import analyze_document_questions
-from ..analyze.diagnostics import Diagnostic, diag
-from ..analyze.driver import sort_diagnostics
+from ..analyze.diagnostics import Diagnostic, diag, sort_diagnostics
 from ..analyze.flow import analyze_flow
 from ..analyze.mdlpass import analyze_mdl
 from ..analyze.nv import analyze_pif
+from ..cmrts.nv import POINTS, standard_vocabulary
 from ..span import SourceSpan, caret_block
 from .elaborate import Elaborated, SourceMap, elaborate
 from .errors import MapDSLError
@@ -141,9 +141,6 @@ def check_map(source: str, path: str = "<map>", deep: bool = False) -> CheckResu
             None,
             [diag("NV000", exc.message, path, line=span.line, col=span.col)],
         )
-
-    from ..cmrts.dispatch import POINTS
-    from ..cmrts.nv import standard_vocabulary
 
     out = [_remap(d, elab.source_map, path) for d in analyze_pif(elab.document, path)]
     if deep:

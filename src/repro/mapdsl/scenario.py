@@ -20,13 +20,15 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from ..core import PerformanceQuestion, SentencePattern
+from ..core.questions import PerformanceQuestion, SentencePattern
 from ..core.events import SentenceEvent
-from ..pif import PIFDocument
+from ..pif.records import PIFDocument
 
 if TYPE_CHECKING:
-    from ..core import EventKind, Sentence
-    from ..dbsim import DBOutcome, Query
+    from ..core.events import EventKind
+    from ..core.nouns import Sentence
+    from ..dbsim.model import Query
+    from ..dbsim.study import DBOutcome
     from ..trace.retro import RetroAnswer
 
 __all__ = [
@@ -93,7 +95,7 @@ def run_db_scenario(
     forwarded client state -- exactly what the live watchers observed, so a
     mapping-derived question reproduces the live watcher's satisfied time).
     """
-    from ..dbsim import run_db_study  # local import: dbsim pulls in machine
+    from ..dbsim.study import run_db_study  # local import: dbsim pulls in machine
     from ..trace.retro import evaluate_questions
 
     questions = questions_from_document(doc)

@@ -5,40 +5,18 @@ instrumentation requests, and the standard library defining every Figure-9
 metric in MDL source.
 """
 
-from .ast import (
-    AtClause,
-    Comparison,
-    Condition,
-    Conjunction,
-    ContainsTest,
-    Disjunction,
-    MetricDef,
-    Negation,
-)
-from .compiler import CompiledMetric, compile_metric, condition_to_predicate
-from .format import dumps_mdl, render_condition
-from .library import FIGURE9_MDL, FIGURE9_ROWS, metric_named, standard_metrics
-from .parser import MDLSyntaxError, parse_mdl, tokenize_mdl
+from .._lazy import attach
 
-__all__ = [
-    "AtClause",
-    "Comparison",
-    "CompiledMetric",
-    "Condition",
-    "Conjunction",
-    "Disjunction",
-    "Negation",
-    "ContainsTest",
-    "FIGURE9_MDL",
-    "FIGURE9_ROWS",
-    "MDLSyntaxError",
-    "MetricDef",
-    "compile_metric",
-    "condition_to_predicate",
-    "dumps_mdl",
-    "metric_named",
-    "parse_mdl",
-    "render_condition",
-    "standard_metrics",
-    "tokenize_mdl",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "ast": (
+            "AtClause", "Comparison", "Condition", "Conjunction", "ContainsTest", "Disjunction",
+            "MetricDef", "Negation",
+        ),
+        "compiler": ("CompiledMetric", "compile_metric", "condition_to_predicate"),
+        "format": ("dumps_mdl", "render_condition"),
+        "library": ("FIGURE9_MDL", "FIGURE9_ROWS", "metric_named", "standard_metrics"),
+        "parser": ("MDLSyntaxError", "parse_mdl", "tokenize_mdl"),
+    },
+)

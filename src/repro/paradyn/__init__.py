@@ -6,39 +6,20 @@ array foci, ASCII visualization modules, the Performance Consultant, and the
 :class:`Paradyn` facade tying one measured execution together.
 """
 
-from .consultant import DEFAULT_HYPOTHESES, Finding, Hypothesis, PerformanceConsultant
-from .daemon import Daemon
-from .export import samples_to_csv, trace_to_chrome, trace_to_csv
-from .histogram import TimeHistogram
-from .datamgr import DataManager
-from .metrics import Focus, MetricInstance, MetricManager
-from .session import load_session, save_session, session_to_dict
-from .tool import Paradyn, QuestionRequest
-from .visualize import bar_chart, text_table, time_plot
-from .whereaxis import ResourceNode, WhereAxis
+from .._lazy import attach
 
-__all__ = [
-    "Daemon",
-    "DataManager",
-    "DEFAULT_HYPOTHESES",
-    "Finding",
-    "Focus",
-    "Hypothesis",
-    "MetricInstance",
-    "MetricManager",
-    "Paradyn",
-    "QuestionRequest",
-    "PerformanceConsultant",
-    "ResourceNode",
-    "TimeHistogram",
-    "WhereAxis",
-    "bar_chart",
-    "samples_to_csv",
-    "save_session",
-    "session_to_dict",
-    "load_session",
-    "trace_to_chrome",
-    "trace_to_csv",
-    "text_table",
-    "time_plot",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "consultant": ("DEFAULT_HYPOTHESES", "Finding", "Hypothesis", "PerformanceConsultant"),
+        "daemon": ("Daemon",),
+        "export": ("samples_to_csv", "trace_to_chrome", "trace_to_csv"),
+        "histogram": ("TimeHistogram",),
+        "datamgr": ("DataManager",),
+        "metrics": ("Focus", "MetricInstance", "MetricManager"),
+        "session": ("load_session", "save_session", "session_to_dict"),
+        "tool": ("Paradyn", "QuestionRequest"),
+        "visualize": ("bar_chart", "text_table", "time_plot"),
+        "whereaxis": ("ResourceNode", "WhereAxis"),
+    },
+)

@@ -17,9 +17,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Mapping as TMapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping as TMapping
 
 from ..cmfortran import CompiledProgram
 from ..cmrts import CMRTSRuntime, POINTS, RuntimeConfig, standard_vocabulary
@@ -48,6 +46,9 @@ from .daemon import Daemon
 from .datamgr import DataManager
 from .metrics import Focus, MetricInstance, MetricManager
 from .visualize import text_table
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["Paradyn", "QuestionRequest"]
 

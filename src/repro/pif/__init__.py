@@ -5,34 +5,16 @@ generates PIF files by parsing CM Fortran compiler listing files
 (Section 6.2).
 """
 
-from .format import PIFSyntaxError, dump, dumps, load, loads
-from .generator import ListingParseError, generate_pif, parse_listing
-from .records import (
-    LevelDef,
-    MappingDef,
-    MergeConflictError,
-    NounDef,
-    PIFDocument,
-    ResolutionError,
-    SentenceRef,
-    VerbDef,
-)
+from .._lazy import attach
 
-__all__ = [
-    "LevelDef",
-    "ListingParseError",
-    "MappingDef",
-    "MergeConflictError",
-    "NounDef",
-    "PIFDocument",
-    "PIFSyntaxError",
-    "ResolutionError",
-    "SentenceRef",
-    "VerbDef",
-    "dump",
-    "dumps",
-    "generate_pif",
-    "load",
-    "loads",
-    "parse_listing",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "format": ("PIFSyntaxError", "dump", "dumps", "load", "loads"),
+        "generator": ("ListingParseError", "generate_pif", "parse_listing"),
+        "records": (
+            "LevelDef", "MappingDef", "MergeConflictError", "NounDef", "PIFDocument",
+            "ResolutionError", "SentenceRef", "VerbDef",
+        ),
+    },
+)

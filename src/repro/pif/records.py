@@ -18,16 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import (
-    AbstractionLevel,
-    Mapping,
-    MappingGraph,
-    MappingOrigin,
-    Noun,
-    Sentence,
-    Verb,
-    Vocabulary,
-)
+from ..core.mapping import Mapping, MappingGraph, MappingOrigin
+from ..core.nouns import AbstractionLevel, Noun, Sentence, Verb, Vocabulary
 
 __all__ = [
     "LevelDef",

@@ -13,24 +13,16 @@ kernel grids live in :mod:`repro.sweep.studies`; the ``python -m repro
 sweep`` subcommand and the abl8 bench drive them.
 """
 
-from .chunking import chunk_indices, resolve_chunk_size
-from .runner import SweepResult, SweepRunner, SweepTask, SweepWorkerError, fingerprint
-from .studies import STUDIES, build_grid, db_grid, db_task, kernel_grid, kernel_task, unix_grid, unix_task
+from .._lazy import attach
 
-__all__ = [
-    "STUDIES",
-    "chunk_indices",
-    "resolve_chunk_size",
-    "SweepResult",
-    "SweepRunner",
-    "SweepTask",
-    "SweepWorkerError",
-    "build_grid",
-    "db_grid",
-    "db_task",
-    "fingerprint",
-    "kernel_grid",
-    "kernel_task",
-    "unix_grid",
-    "unix_task",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "chunking": ("chunk_indices", "resolve_chunk_size"),
+        "runner": ("SweepResult", "SweepRunner", "SweepTask", "SweepWorkerError", "fingerprint"),
+        "studies": (
+            "STUDIES", "build_grid", "db_grid", "db_task", "kernel_grid", "kernel_task",
+            "unix_grid", "unix_task",
+        ),
+    },
+)

@@ -15,66 +15,24 @@ The common scan API (:mod:`.scan`) gives every retrospective consumer
 pushdown filtering and -- on columnar files -- parallel segment scans.
 """
 
-from .codec import CodecError
-from .columnar import (
-    ColumnarTraceReader,
-    ColumnarTraceWriter,
-    SegmentMeta,
-    convert,
-    open_trace,
-)
-from .retro import (
-    AttributionResult,
-    RetroAnswer,
-    SentenceStats,
-    TraceDiff,
-    WindowedMapping,
-    diff_traces,
-    evaluate_questions,
-    parse_pattern,
-    question_name,
-    sentence_intervals,
-    trace_stats,
-    windowed_attribution,
-    windowed_mappings,
-)
-from .scan import (
-    filtered_intervals,
-    matching_sids,
-    parallel_intervals,
-    question_sids,
-    scan_transitions,
-)
-from .store import MappingEvent, MetricSample, SASState, TraceReader, TraceWriter
+from .._lazy import attach
 
-__all__ = [
-    "AttributionResult",
-    "CodecError",
-    "ColumnarTraceReader",
-    "ColumnarTraceWriter",
-    "MappingEvent",
-    "MetricSample",
-    "RetroAnswer",
-    "SASState",
-    "SegmentMeta",
-    "SentenceStats",
-    "TraceDiff",
-    "TraceReader",
-    "TraceWriter",
-    "WindowedMapping",
-    "convert",
-    "diff_traces",
-    "evaluate_questions",
-    "filtered_intervals",
-    "matching_sids",
-    "open_trace",
-    "parallel_intervals",
-    "parse_pattern",
-    "question_name",
-    "question_sids",
-    "scan_transitions",
-    "sentence_intervals",
-    "trace_stats",
-    "windowed_attribution",
-    "windowed_mappings",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "codec": ("CodecError",),
+        "columnar": (
+            "ColumnarTraceReader", "ColumnarTraceWriter", "SegmentMeta", "convert", "open_trace",
+        ),
+        "retro": (
+            "AttributionResult", "RetroAnswer", "SentenceStats", "TraceDiff", "WindowedMapping",
+            "diff_traces", "evaluate_questions", "parse_pattern", "question_name",
+            "sentence_intervals", "trace_stats", "windowed_attribution", "windowed_mappings",
+        ),
+        "scan": (
+            "filtered_intervals", "matching_sids", "parallel_intervals", "question_sids",
+            "scan_transitions",
+        ),
+        "store": ("MappingEvent", "MetricSample", "SASState", "TraceReader", "TraceWriter"),
+    },
+)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import struct
 
-from ..core import Noun, Sentence, Verb
+from ..core.nouns import Noun, Sentence, Verb
 from ..core.mapping import MappingOrigin
 
 __all__ = [

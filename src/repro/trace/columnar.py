@@ -52,7 +52,8 @@ from array import array
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from ..core import EventKind, Sentence, SentenceEvent, Trace
+from ..core.events import EventKind, SentenceEvent, Trace
+from ..core.nouns import Sentence
 from ..core.mapping import MappingOrigin
 from .codec import (
     ORIGIN_BY_CODE,

@@ -30,16 +30,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from ..core import (
-    EventKind,
-    MultiQuestionEngine,
-    OrderedQuestion,
-    PerformanceQuestion,
-    QExpr,
-    Sentence,
-    SentenceEvent,
-    SentencePattern,
-)
+from ..core.events import EventKind, SentenceEvent
+from ..core.multiq import MultiQuestionEngine
+from ..core.nouns import Sentence
+from ..core.questions import OrderedQuestion, PerformanceQuestion, QExpr, SentencePattern
 from .scan import filtered_intervals, parallel_intervals, question_sids
 from .store import ALL_NODES
 
@@ -184,9 +178,17 @@ def evaluate_question_batch(
     Pass ``shards`` to partition pattern nodes across consistent-hash
     shards, or a pre-built ``engine`` to reuse one (e.g. the ``repro
     serve`` session engine with subscriptions already attached).
+
+    Answers are keyed by :func:`question_name`, so one name may denote
+    only one question: structurally equal duplicates share an answer, and
+    a name shared by two different questions raises ``ValueError``.
     """
     eng = engine if engine is not None else MultiQuestionEngine(shards=shards)
     subs = [(question_name(q), eng.subscribe(q)) for q in questions]
+    keys: dict[str, tuple] = {}
+    for name, sub in subs:
+        if keys.setdefault(name, sub.key) != sub.key:
+            raise ValueError(f'question name "{name}" is used for two different questions')
     events, node_filtered, end = batch_event_plan(source, questions, end_time, node)
     last = 0.0
     for event in events:

@@ -30,14 +30,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from ..core import (
-    EventKind,
-    OrderedQuestion,
-    PerformanceQuestion,
-    Sentence,
-    SentenceEvent,
-    SentencePattern,
-)
+from ..core.events import EventKind, SentenceEvent
+from ..core.nouns import Sentence
+from ..core.questions import OrderedQuestion, PerformanceQuestion, SentencePattern
 from .store import ALL_NODES
 
 __all__ = [
@@ -325,7 +320,7 @@ def parallel_intervals(
     if not pruned:
         return {}
     if runner is None:
-        from ..sweep import SweepRunner
+        from ..sweep.runner import SweepRunner
 
         runner = SweepRunner(workers=jobs)
     nranges = min(runner.workers * 2, len(pruned))
@@ -337,7 +332,7 @@ def parallel_intervals(
         for k in range(nranges)
         if bounds[k] < bounds[k + 1]
     ]
-    from ..sweep import SweepTask
+    from ..sweep.runner import SweepTask
 
     sid_arg = tuple(sorted(sids)) if sids is not None else None
     close = end_time if end_time is not None else 0.0

@@ -25,7 +25,8 @@ import struct
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from ..core import EventKind, Sentence, SentenceEvent, Trace
+from ..core.events import EventKind, SentenceEvent, Trace
+from ..core.nouns import Sentence
 from ..core.mapping import MappingOrigin
 from .codec import (
     MAGIC,

@@ -6,32 +6,17 @@ cannot attribute asynchronous work) and the causal-tag extension that fixes
 it.
 """
 
-from .kernel import DirtyBuffer, DiskWriteRecord, Kernel, KernelConfig
-from .nv import (
-    KERNEL_LEVEL,
-    USER_LEVEL,
-    func_executes,
-    kernel_disk_write,
-    syscall_write,
-    unix_vocabulary,
-)
-from .process import FunctionSpec, UserProcess
-from .study import AttributionOutcome, default_script, run_figure7_study
+from .._lazy import attach
 
-__all__ = [
-    "AttributionOutcome",
-    "DirtyBuffer",
-    "DiskWriteRecord",
-    "FunctionSpec",
-    "Kernel",
-    "KernelConfig",
-    "KERNEL_LEVEL",
-    "USER_LEVEL",
-    "UserProcess",
-    "default_script",
-    "func_executes",
-    "kernel_disk_write",
-    "run_figure7_study",
-    "syscall_write",
-    "unix_vocabulary",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "kernel": ("DirtyBuffer", "DiskWriteRecord", "Kernel", "KernelConfig"),
+        "nv": (
+            "KERNEL_LEVEL", "USER_LEVEL", "func_executes", "kernel_disk_write", "syscall_write",
+            "unix_vocabulary",
+        ),
+        "process": ("FunctionSpec", "UserProcess"),
+        "study": ("AttributionOutcome", "default_script", "run_figure7_study"),
+    },
+)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core import AbstractionLevel, Noun, Sentence, Verb, Vocabulary
+from ..core.nouns import AbstractionLevel, Noun, Sentence, Verb, Vocabulary
 
 __all__ = [
     "USER_LEVEL",

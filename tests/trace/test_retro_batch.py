@@ -12,12 +12,17 @@ times.
 import pytest
 
 from repro.core import (
+    EventKind,
+    Noun,
     OrderedQuestion,
     PerformanceQuestion,
     QAtom,
     QNot,
     QOr,
+    Sentence,
     SentencePattern,
+    Trace,
+    Verb,
 )
 from repro.trace.columnar import ColumnarTraceWriter, open_trace
 from repro.trace.retro import evaluate_question_batch, evaluate_questions, question_name
@@ -100,6 +105,24 @@ def test_reused_engine_rejected_after_history():
     qs = questions_for(trace)
     answers = evaluate_question_batch(trace, qs)
     assert answers["conj"].end_time == answers["ord"].end_time
+
+
+def test_one_name_for_two_questions_is_rejected():
+    # the level is not part of a pattern's display name, so both atoms
+    # render as "{A Run}"; their answers (2.0 vs 0.0) must not collapse
+    run = Sentence(Verb("Run", "L1"), (Noun("A", "L1"),))
+    trace = Trace()
+    trace.record(0.0, EventKind.ACTIVATE, run)
+    trace.record(2.0, EventKind.DEACTIVATE, run)
+    here = QAtom(SentencePattern("Run", ("A",), "L1"))
+    elsewhere = QAtom(SentencePattern("Run", ("A",), "Other"))
+    assert question_name(here) == question_name(elsewhere) == "{A Run}"
+    assert evaluate_questions(trace, [here])["{A Run}"].satisfied_time == 2.0
+    assert evaluate_questions(trace, [elsewhere])["{A Run}"].satisfied_time == 0.0
+    with pytest.raises(ValueError, match='"{A Run}"'):
+        evaluate_question_batch(trace, [here, elsewhere])
+    # structurally equal duplicates still share one answer
+    assert evaluate_question_batch(trace, [here, here])["{A Run}"].satisfied_time == 2.0
 
 
 # ----------------------------------------------------------------------
