@@ -20,18 +20,27 @@ nearly free:
   (:meth:`~repro.core.questions.SentencePattern.subsumes`).  A never-seen
   sentence is matched by descending from the lattice roots and pruning every
   sub-lattice whose root fails -- a sentence that misses ``{A Sum}`` can
-  never match ``{A B Sum}``;
+  never match ``{A B Sum}``.  Each shard files its roots under their
+  :meth:`~repro.core.questions.SentencePattern.index_key` (**key-routed
+  roots**), so the descent starts only from roots whose key the sentence
+  carries; and a new node is compared only with the nodes it could be
+  related to -- those sharing a concrete noun with it or having none
+  (**noun-indexed insertion**).  Neither step grows with the number of
+  unrelated patterns;
 * **consistent-hash sharding** -- nodes partition into shards by their
   level/noun discriminator (:meth:`~repro.core.questions.SentencePattern.index_key`)
   on a :class:`HashRing`, so a transition touches only the shards whose key
   space its sentence carries, and the per-shard work is independent --
   the fan-out unit for the ``repro serve`` front end and the per-node
   replicated SAS;
-* **per-question dirty bits** -- a transition updates the (few) matching
-  nodes, then re-evaluates only the subscriptions whose nodes changed
-  observable state: boolean questions only on a count 0<->1 flip, ordered
-  questions on any relevant entry change.  Unaffected subscribers cost
-  nothing;
+* **watched conjunctions** -- an unsatisfied conjunction waits on one of
+  its zero-count nodes, a satisfied one on all of its nodes.  A count 0->1
+  flip visits only the conjunctions waiting on that node (each moves on to
+  another zero node or becomes satisfied), and a 1->0 flip only the
+  satisfied conjunctions referencing it.  Boolean expressions keep dirty
+  bits (re-evaluated on a 0<->1 flip of one of their nodes), and so do
+  ordered questions (on any relevant entry change).  A membership change
+  costs nothing for a subscriber whose answer it cannot change;
 * **subscription dedup** -- structurally-equivalent questions subscribed
   against the same history share one :class:`QuestionWatcher` outright.
 
@@ -58,6 +67,7 @@ from .questions import (
     QNot,
     QOr,
     SentencePattern,
+    WILDCARD,
 )
 
 __all__ = [
@@ -70,8 +80,8 @@ __all__ = [
 
 Question = PerformanceQuestion | QExpr | OrderedQuestion
 
-#: Shard key for patterns with no concrete discriminator (wildcard-only):
-#: their shard is routed on every transition.
+#: Ring key of patterns with no concrete discriminator (wildcard-only); their
+#: lattice roots are filed under ``None`` and tried for every sentence.
 _WILDCARD_KEY = ("*", "*")
 
 
@@ -126,8 +136,12 @@ class PatternNode:
     entries: list[tuple[Sentence, float]] = field(default_factory=list)
     parents: list[int] = field(default_factory=list)  # subsuming nodes (same shard)
     children: list[int] = field(default_factory=list)  # subsumed nodes (same shard)
-    bool_subs: set[int] = field(default_factory=set)
+    expr_subs: set[int] = field(default_factory=set)
     ordered_subs: set[int] = field(default_factory=set)
+    #: unsatisfied conjunctions waiting on this (zero-count) node
+    blocked: set[int] = field(default_factory=set)
+    #: satisfied conjunctions referencing this node
+    sat: set[int] = field(default_factory=set)
 
 
 @dataclass(eq=False)
@@ -183,7 +197,7 @@ class Subscription:
     name: str
     question: Question
     kind: str  # "conj" | "expr" | "ordered"
-    nids: tuple[int, ...]  # component order (ordered) / unique (conj)
+    nids: tuple[int, ...]  # component order (ordered) / unique, in order (conj)
     program: list[tuple] | None  # expr: flattened children-first op list
     watcher: QuestionWatcher
     created_at: int  # engine transition count at creation (dedup guard)
@@ -193,14 +207,16 @@ class Subscription:
 class _Shard:
     """One shard's sub-lattice: the unit of routed matching work."""
 
-    __slots__ = ("index", "nids", "keys", "always", "roots")
+    __slots__ = ("index", "nids", "roots", "by_noun", "nounless")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.nids: list[int] = []
-        self.keys: set[tuple[str, str]] = set()
-        self.always = False  # owns a wildcard-only node: routed every time
-        self.roots: list[int] = []
+        #: lattice roots by ``index_key()`` (``None``: wildcard-only)
+        self.roots: dict[tuple[str, str] | None, list[int]] = {}
+        #: node ids by concrete noun required, and those requiring none
+        self.by_noun: dict[str, list[int]] = {}
+        self.nounless: list[int] = []
 
 
 class MultiQuestionEngine:
@@ -242,28 +258,43 @@ class MultiQuestionEngine:
         nid = self._by_pattern.get(canon)
         if nid is not None:
             return nid
-        shard_key = canon.index_key() or _WILDCARD_KEY
-        shard = self.shards[self.ring.shard_for(shard_key)]
-        nid = len(self._nodes)
+        key = canon.index_key()
+        shard = self.shards[self.ring.shard_for(key or _WILDCARD_KEY)]
+        nodes = self._nodes
+        nid = len(nodes)
         node = PatternNode(nid, canon, shard.index)
         # lattice edges live within the owning shard (descent is per shard;
-        # a cross-shard subsumer would prune nodes the router never visits)
-        for other_id in shard.nids:
-            other = self._nodes[other_id]
+        # a cross-shard subsumer would prune nodes the router never visits).
+        # Only a node whose concrete nouns are a subset of ours can subsume
+        # us, and only one holding our first noun (any, if we have none) can
+        # be subsumed; ascending ids keep the edge lists in insertion order
+        nouns = [n for n in canon.nouns if n != WILDCARD]
+        uppers = set(shard.nounless)
+        for noun in nouns:
+            uppers.update(shard.by_noun.get(noun, ()))
+        for other_id in sorted(uppers):
+            other = nodes[other_id]
             if other.pattern.subsumes(canon):
                 other.children.append(nid)
                 node.parents.append(other_id)
+        for other_id in shard.by_noun.get(nouns[0], ()) if nouns else shard.nids:
+            other = nodes[other_id]
             if canon.subsumes(other.pattern):
                 node.children.append(other_id)
                 other.parents.append(nid)
-        self._nodes.append(node)
+        nodes.append(node)
         self._by_pattern[canon] = nid
         shard.nids.append(nid)
-        if shard_key == _WILDCARD_KEY:
-            shard.always = True
-        else:
-            shard.keys.add(shard_key)
-        shard.roots = [i for i in shard.nids if not self._nodes[i].parents]
+        for noun in nouns:
+            shard.by_noun.setdefault(noun, []).append(nid)
+        if not nouns:
+            shard.nounless.append(nid)
+        if not node.parents:
+            shard.roots.setdefault(key, []).append(nid)
+        for child_id in node.children:
+            child = nodes[child_id]
+            if len(child.parents) == 1:  # was a root until now
+                shard.roots[child.pattern.index_key()].remove(child_id)
         # existing cached match sets don't know about the new node
         self._match_cache.clear()
         # seed from current membership so late subscriptions see true state
@@ -279,26 +310,30 @@ class MultiQuestionEngine:
         if cached is not None:
             return cached
         nodes = self._nodes
+        # a sentence matching a node carries its index key and matches all
+        # its ancestors, so every matching node sits under a root whose key
+        # the sentence carries: only those roots are tried
+        keys: list[tuple[str, str] | None] = [
+            None, ("v", sent.verb.name), ("l", sent.abstraction)
+        ]
+        keys.extend(("n", noun.name) for noun in sent.nouns)
+        stack = [
+            nid for shard in self.shards for key in keys
+            for nid in shard.roots.get(key, ())
+        ]
         out: list[int] = []
-        candidates = {("v", sent.verb.name), ("l", sent.abstraction)}
-        for noun in sent.nouns:
-            candidates.add(("n", noun.name))
-        for shard in self.shards:
-            if not shard.always and not (shard.keys & candidates):
-                continue  # no node in this shard can match: never touched
-            stack = list(shard.roots)
-            seen: set[int] = set()
-            while stack:
-                nid = stack.pop()
-                if nid in seen:
-                    continue
-                seen.add(nid)
-                node = nodes[nid]
-                if node.pattern.matches(sent):
-                    out.append(nid)
-                    stack.extend(node.children)
-                # a failed pattern prunes its whole sub-lattice: children
-                # match subsets of this node's match set
+        seen: set[int] = set()
+        while stack:
+            nid = stack.pop()
+            if nid in seen:
+                continue
+            seen.add(nid)
+            node = nodes[nid]
+            if node.pattern.matches(sent):
+                out.append(nid)
+                stack.extend(node.children)
+            # a failed pattern prunes its whole sub-lattice: children
+            # match subsets of this node's match set
         out.sort()
         result = tuple(out)
         self._match_cache[sent] = result
@@ -350,7 +385,7 @@ class MultiQuestionEngine:
         program = None
         if isinstance(question, PerformanceQuestion):
             kind = "conj"
-            nids = tuple(self._node_for(p) for p in question.components)
+            nids = tuple(dict.fromkeys(self._node_for(p) for p in question.components))
         elif isinstance(question, OrderedQuestion):
             kind = "ordered"
             nids = tuple(self._node_for(p) for p in question.components)
@@ -410,8 +445,10 @@ class MultiQuestionEngine:
                         key=lambda st: st[1],
                     )
                 node.ordered_subs.add(sub.sid)
-            else:
-                node.bool_subs.add(sub.sid)
+            elif kind == "expr":
+                node.expr_subs.add(sub.sid)
+        if kind == "conj":
+            self._watch(sub)
         sub.watcher._apply(self._evaluate(sub), now)
         return sub
 
@@ -460,6 +497,29 @@ class MultiQuestionEngine:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
+    def _watch(self, sub: Subscription) -> bool:
+        """File conjunction ``sub`` by the current counts; True if satisfied.
+
+        An unsatisfied conjunction waits on its first zero-count node, a
+        satisfied one on all of its nodes.
+        """
+        nodes = self._nodes
+        for nid in sub.nids:
+            if not nodes[nid].count:
+                nodes[nid].blocked.add(sub.sid)
+                return False
+        for nid in sub.nids:
+            nodes[nid].sat.add(sub.sid)
+        return True
+
+    def _move_on(self, node: PatternNode, satisfied: set[int]) -> None:
+        """Re-file the conjunctions waiting on ``node``, which is no longer
+        zero (so none is filed back under it); collect the now-satisfied."""
+        for sid in node.blocked:
+            if self._watch(self._subs[sid]):
+                satisfied.add(sid)
+        node.blocked.clear()
+
     def _evaluate(self, sub: Subscription) -> bool:
         nodes = self._nodes
         if sub.kind == "conj":
@@ -513,6 +573,7 @@ class MultiQuestionEngine:
         if not nids:
             return
         nodes = self._nodes
+        subs = self._subs
         touches = self.shard_touches
         dirty: set[int] = set()
         for nid in nids:
@@ -521,7 +582,9 @@ class MultiQuestionEngine:
             if joined:
                 node.count += 1
                 if node.count == 1:
-                    dirty |= node.bool_subs
+                    dirty |= node.expr_subs
+                    if node.blocked:
+                        self._move_on(node, dirty)
                 if node.ordered_subs:
                     # clocks are (almost always) monotone: append, walking
                     # back only if a custom clock handed out an earlier time
@@ -534,7 +597,19 @@ class MultiQuestionEngine:
             else:
                 node.count -= 1
                 if node.count == 0:
-                    dirty |= node.bool_subs
+                    dirty |= node.expr_subs
+                    satisfied = node.sat
+                    if satisfied:
+                        # each now waits on a zero node; no set but this
+                        # one's is cleared while it is read
+                        for sid in satisfied:
+                            sub = subs[sid]
+                            for other in sub.nids:
+                                if other != nid:
+                                    nodes[other].sat.discard(sid)
+                            self._watch(sub)
+                            dirty.add(sid)
+                        satisfied.clear()
                 if node.ordered_subs:
                     entries = node.entries
                     for i in range(len(entries) - 1, -1, -1):
@@ -542,9 +617,13 @@ class MultiQuestionEngine:
                             del entries[i]
                             break
                     dirty |= node.ordered_subs
+        if not dirty:
+            return
         for sid in sorted(dirty):
-            sub = self._subs[sid]
-            sub.watcher._apply(self._evaluate(sub), now)
+            sub = subs[sid]
+            # a conjunction is dirty only if this change flipped it
+            value = joined if sub.kind == "conj" else self._evaluate(sub)
+            sub.watcher._apply(value, now)
 
     # ------------------------------------------------------------------
     # live attachment
@@ -562,6 +641,10 @@ class MultiQuestionEngine:
             for nid in self._match_nodes(sent):
                 node = self._nodes[nid]
                 node.count += 1
+                if node.count == 1 and node.blocked:
+                    # silently: a conjunction left waiting on a non-zero
+                    # node would miss its last component's flip
+                    self._move_on(node, set())
                 if node.ordered_subs:
                     node.entries.append((sent, t))
                     node.entries.sort(key=lambda st: st[1])
@@ -570,16 +653,23 @@ class MultiQuestionEngine:
         """Hook every handled transition of ``sas`` into this engine.
 
         The SAS's current membership (including re-entrant depth) seeds the
-        engine silently first, so questions subscribed afterwards evaluate
-        against true state.  Returns the hook; pass it to
+        engine first, so questions subscribed afterwards evaluate against
+        true state; if the SAS is non-empty, every existing subscription is
+        then re-evaluated at the SAS's clock, as a question attached to it
+        now would be.  Returns the hook; pass it to
         :meth:`detach_sas`.  Forwarded transitions applied to a replica SAS
         by the :class:`~repro.dbsim.bus.ForwardingBus` flow through the same
         ``on_transition`` hook, so attaching to the replica sees the fused
         local + remote stream exactly as the SAS's own questions do.
         """
-        for sent in sas.active_sentences():
+        active = sas.active_sentences()
+        for sent in active:
             self._depth[sent] = self._depth.get(sent, 0) + sas.activation_depth(sent)
         self.seed(sas.active_with_times())
+        if active:
+            now = sas.clock()
+            for sub in self._subs:
+                sub.watcher._apply(self._evaluate(sub), now)
 
         def hook(sent: Sentence, became_active: bool, now: float) -> None:
             self.transition(sent, became_active, now)

@@ -13,6 +13,7 @@ from repro.core import (
     QAtom,
     QNot,
     QOr,
+    QuestionWatcher,
     SentencePattern,
     Verb,
     sentence,
@@ -133,31 +134,97 @@ def test_subsumption_lattice_edges():
     assert b.pid in n.parents
 
 
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+
+    def counting(self, *args):
+        calls.append(self)
+        return orig(self, *args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def test_lattice_prunes_matching(monkeypatch):
     eng = MultiQuestionEngine()
     eng.subscribe(QAtom(SentencePattern("Sum", ())))
     eng.subscribe(QAtom(SentencePattern("Sum", ("A",))))
     eng.subscribe(QAtom(SentencePattern("Sum", ("A", "B"))))
-    calls = []
-    orig = SentencePattern.matches
-
-    def counting(self, sent):
-        calls.append(self)
-        return orig(self, sent)
-
-    monkeypatch.setattr(SentencePattern, "matches", counting)
-    # noun A routes the sentence into the nodes' shard, but the broad root
-    # {Sum} fails on the verb, so neither child is ever tested
+    narrow = MultiQuestionEngine()
+    narrow.subscribe(QAtom(SentencePattern("Sum", ("A",))))
+    narrow.subscribe(QAtom(SentencePattern("Sum", ("A", "B"))))
+    calls = _count_calls(monkeypatch, SentencePattern, "matches")
     a_exec = sentence(EXEC, Noun("A", "HPF"))
+    # the only root, {Sum}, is filed under verb Sum: a sentence whose verb
+    # is Executes never reaches it, nor anything below it
     eng.transition(a_exec, True, 1.0)
-    assert len(calls) == 1
+    assert calls == []
+    # root {A Sum} is reached through noun A and fails on the verb, so its
+    # child {A B Sum} is never tested
+    narrow.transition(a_exec, True, 1.0)
+    assert calls == [SentencePattern("Sum", ("A",))]
     calls.clear()
-    eng.transition(a_exec, False, 2.0)  # memoized: no pattern tests at all
-    assert len(calls) == 0
-    # a sentence carrying none of the shard's discriminators skips the
-    # shard without a single pattern test (candidate-key routing)
+    narrow.transition(a_exec, False, 2.0)  # memoized: no pattern tests at all
+    assert calls == []
+    # a sentence carrying none of the roots' keys makes no pattern test
     eng.transition(P_SEND, True, 3.0)
-    assert len(calls) == 0
+    narrow.transition(P_SEND, True, 3.0)
+    assert calls == []
+
+
+# ----------------------------------------------------------------------
+# cost model: work per membership change and per subscription
+# ----------------------------------------------------------------------
+RUN = Verb("Run", "DB")
+READ = Verb("Read", "DB")
+DISK_READ = sentence(READ, Noun("disk", "DB"))
+
+
+def _waiting_conjunctions(count=200):
+    """``count`` conjunctions {Qi Run} & {disk Read}, all sharing one node."""
+    eng = MultiQuestionEngine()
+    for i in range(count):
+        eng.subscribe(PerformanceQuestion(f"q{i}", (
+            SentencePattern("Run", (f"Q{i}",)), SentencePattern("Read", ("disk",)),
+        )))
+    return eng
+
+
+def test_shared_node_flips_visit_only_ready_conjunctions(monkeypatch):
+    eng = _waiting_conjunctions()
+    evaluated = _count_calls(monkeypatch, MultiQuestionEngine, "_evaluate")
+    applied = _count_calls(monkeypatch, QuestionWatcher, "_apply")
+    # no {Qi Run} is active: no conjunction can change on a {disk Read} flip
+    for k in range(10):
+        eng.transition(DISK_READ, True, 2.0 * k + 1)
+        eng.transition(DISK_READ, False, 2.0 * k + 2)
+    assert evaluated == [] and applied == []
+    # once {Q7 Run} is active, a flip reaches exactly its conjunction
+    q7_run = sentence(RUN, Noun("Q7", "DB"))
+    eng.transition(q7_run, True, 30.0)
+    assert evaluated == [] and applied == []
+    eng.transition(DISK_READ, True, 31.0)
+    eng.transition(DISK_READ, False, 32.0)
+    q7 = eng.subscription("q7").watcher
+    assert applied == [q7, q7]
+    assert (q7.transitions, q7.satisfied_time) == (2, 1.0)
+
+
+def test_new_sentence_tries_only_its_roots(monkeypatch):
+    eng = _waiting_conjunctions()
+    tested = _count_calls(monkeypatch, SentencePattern, "matches")
+    eng.transition(sentence(RUN, Noun("Q7", "DB")), True, 1.0)
+    assert len(tested) <= 2
+
+
+def test_subscribing_over_new_nouns_compares_no_nodes(monkeypatch):
+    eng = _waiting_conjunctions()
+    compared = _count_calls(monkeypatch, SentencePattern, "subsumes")
+    eng.subscribe(PerformanceQuestion("q200", (
+        SentencePattern("Run", ("Q200",)), SentencePattern("Read", ("disk",)),
+    )))
+    assert compared == []
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +303,53 @@ def test_attach_midrun_seeds_membership():
     sas.deactivate(A_SUM)
     assert not sub.watcher.satisfied
     assert sub.watcher.satisfied_time == 2.0
+
+
+def test_attach_reevaluates_existing_subscriptions():
+    # questions subscribed before the attach answer exactly like one
+    # subscribed right after it: all see {A Sum} active from t=2 on
+    clock = ManualClock()
+    sas = ActiveSentenceSet(clock=clock)
+    eng = MultiQuestionEngine()
+    pat = SentencePattern("Sum", ("A",))
+    eng.subscribe(PerformanceQuestion("q", (pat,)), name="q")
+    eng.subscribe(QAtom(pat) | QAtom(SentencePattern("Send", ("P",))), name="e")
+    clock.t = 1.0
+    sas.activate(A_SUM)
+    clock.t = 2.0
+    eng.attach_sas(sas)
+    eng.subscribe(QAtom(pat), name="late", now=sas.clock())
+    answers = eng.answers(5.0)
+    assert answers["q"] == answers["e"] == answers["late"] == (3.0, 1, True)
+
+
+def test_attach_to_empty_sas_reads_no_clock():
+    def no_clock():
+        raise AssertionError("clock read while attaching to an empty SAS")
+
+    eng = MultiQuestionEngine()
+    sub = eng.subscribe(QAtom(SentencePattern("Sum", ("A",))))
+    eng.attach_sas(ActiveSentenceSet(clock=no_clock))
+    assert (sub.watcher.satisfied, sub.watcher.transitions) == (False, 0)
+
+
+def test_attach_refiles_conjunction_waiting_on_seeded_node():
+    # the conjunction waits on {A Sum}, its first zero node; seeding makes
+    # that node non-zero, so it must move on to wait for {Processor_0 Send}
+    eng = MultiQuestionEngine()
+    sub = eng.subscribe(PerformanceQuestion("q", (
+        SentencePattern("Sum", ("A",)), SentencePattern("Send", ("Processor_0",)),
+    )))
+    clock = ManualClock()
+    sas = ActiveSentenceSet(clock=clock)
+    clock.t = 1.0
+    sas.activate(A_SUM)
+    eng.attach_sas(sas)
+    clock.t = 2.0
+    sas.activate(P_SEND)
+    clock.t = 3.0
+    sas.deactivate(P_SEND)
+    assert (sub.watcher.transitions, sub.watcher.satisfied_time) == (2, 1.0)
 
 
 def test_ordered_midrun_reuses_boolean_nodes_correctly():

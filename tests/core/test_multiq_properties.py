@@ -7,10 +7,11 @@ and accumulated satisfied-time from the shared
 :class:`~repro.core.multiq.MultiQuestionEngine` must equal the
 ``tests/core/oracle.py`` oracle that re-evaluates ``QExpr.evaluate`` /
 ``satisfied`` over the full active set after every membership change -- the
-engine's dirty bits, lattice pruning, memoized matching, sharding, and
-subscription dedup must all be pure optimizations.  The same holds end to
-end: live SAS questions equal both the oracle and a retrospective replay of
-the run's recorded trace.
+engine's watched conjunctions, dirty bits, key-routed lattice pruning,
+memoized matching, sharding, and subscription dedup must all be pure
+optimizations, and the lattice itself must equal a brute-force pairwise
+subsumption check.  The same holds end to end: live SAS questions equal
+both the oracle and a retrospective replay of the run's recorded trace.
 """
 
 from hypothesis import given, settings
@@ -117,12 +118,16 @@ def with_duplicates(batch):
     return out
 
 
-@given(st.lists(questions, min_size=1, max_size=5), scripts, st.sampled_from([1, 3]))
+@given(st.lists(questions, min_size=1, max_size=16), scripts, st.sampled_from([1, 3]))
 @settings(max_examples=150, deadline=None)
 def test_engine_equals_naive_oracle(batch, script, shards):
     engine = MultiQuestionEngine(shards=shards)
     subs = [engine.subscribe(q, name=f"q{i}") for i, q in enumerate(with_duplicates(batch))]
     closed = [collect_intervals(sub.watcher) for sub in subs]
+    fired = []  # (time, sid) of every flip, in firing order
+    for sub in {sub.sid: sub for sub in subs}.values():
+        for hooks in (sub.watcher.on_satisfied, sub.watcher.on_unsatisfied):
+            hooks.append(lambda now, sid=sub.sid: fired.append((now, sid)))
 
     oracle = [NaiveWatcher() for _ in subs]
     oracle_qs = with_duplicates(batch)
@@ -159,6 +164,36 @@ def test_engine_equals_naive_oracle(batch, script, shards):
         assert mw.transitions == w.transitions
         assert mw.satisfied_time == w.satisfied_time  # exact, not approx
         assert closed_at(mw, ivs, end) == w.closed_intervals(end)
+    # the watchers one membership change flips fire in subscription order
+    assert fired == sorted(fired)
+
+
+@given(st.lists(patterns, max_size=12), st.sampled_from([1, 3]))
+@settings(max_examples=150, deadline=None)
+def test_lattice_equals_brute_force(pats, shards):
+    """The indexed lattice holds exactly the subsumption edges between the
+    nodes of each shard, its keyed roots are exactly the nodes without
+    parents, and root-routed matching finds exactly the matching nodes."""
+    engine = MultiQuestionEngine(shards=shards)
+    for p in pats:
+        engine.subscribe(QAtom(p))
+    nodes = engine.nodes
+    for shard in engine.shards:
+        for n in (nodes[i] for i in shard.nids):
+            assert n.children == [
+                m for m in shard.nids if m != n.pid and n.pattern.subsumes(nodes[m].pattern)
+            ]
+            assert n.parents == [
+                m for m in shard.nids if m != n.pid and nodes[m].pattern.subsumes(n.pattern)
+            ]
+        roots = sorted(nid for ids in shard.roots.values() for nid in ids)
+        assert roots == [i for i in shard.nids if not nodes[i].parents]
+        for key, ids in shard.roots.items():
+            assert all(nodes[i].pattern.index_key() == key for i in ids)
+    for sent in SENTENCES:
+        assert engine._match_nodes(sent) == tuple(
+            n.pid for n in nodes if n.pattern.matches(sent)
+        )
 
 
 @given(
