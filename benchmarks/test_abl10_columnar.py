@@ -15,8 +15,8 @@ One trace, two layouts, four workloads:
 * **lint**: ``repro lint`` trace sanitization throughput on both layouts,
   plus the parallel segment scan (``--jobs``) on the columnar file.
 
-Two side measurements ride along: the ``_window_overlaps`` rewrite vs the
-seed's quadratic cross product (the satellite fix this PR lands), and a
+Two side measurements ride along: the vectorized windowed-mapping pairing
+kernel (``_window_pairs``) vs the seed's quadratic cross product, and a
 subprocess peak-RSS probe showing ``repro trace info`` on a columnar file
 reads footer pages only (mmap) instead of materializing the event stream.
 
@@ -49,7 +49,7 @@ from repro.trace import (
     sentence_intervals,
     windowed_attribution,
 )
-from repro.trace.retro import _window_overlaps
+from repro.trace.retro import _window_pairs
 from repro.unixsim import FunctionSpec, run_figure7_study
 from repro.workloads import random_trace
 
@@ -214,7 +214,7 @@ def _measure_lint(row_path: str, col_path: str) -> dict:
 
 
 def _measure_window_overlaps() -> dict:
-    """Before/after for the satellite fix: sorted+bisect vs cross product."""
+    """The pairing kernel vs the seed's cross product, on one sentence pair."""
     rng = random.Random(5)
     n = 150 if QUICK else 400
     ivs = []
@@ -237,9 +237,13 @@ def _measure_window_overlaps() -> dict:
                     min_lag = min(min_lag, lag if lag > 0.0 else 0.0)
         return count, min_lag
 
-    assert _window_overlaps(ivs, ivs, window) == quadratic()
+    def kernel():
+        counts, lags = _window_pairs([ivs], [ivs], window)
+        return counts[0][0], lags[0][0]
+
+    assert kernel() == quadratic()
     before = _best_of(quadratic, 3)
-    after = _best_of(lambda: _window_overlaps(ivs, ivs, window), 3)
+    after = _best_of(kernel, 3)
     return {"intervals": n, "before_s": before, "after_s": after, "speedup": before / after}
 
 
@@ -353,9 +357,9 @@ def test_abl10_columnar(benchmark, save_artifact, artifact_dir, merge_bench):
         "segment snapshots are not pulling their weight"
     )
 
-    # the _window_overlaps rewrite wins against the seed's cross product
+    # the pairing kernel wins against the seed's cross product
     assert wo["speedup"] > 2.0, (
-        f"_window_overlaps rewrite only {wo['speedup']:.2f}x the quadratic seed"
+        f"_window_pairs kernel only {wo['speedup']:.2f}x the quadratic seed"
     )
 
     # info() is footer-only: its RSS growth over a bare open is a sliver
@@ -411,16 +415,16 @@ def test_abl10_columnar(benchmark, save_artifact, artifact_dir, merge_bench):
         f"{query['segments_scanned']}/{query['segments_total']} segments\n"
         f"columnar seek vs linear replay: {seek['columnar_vs_linear']:.1f}x\n"
         f"parallel lint (--jobs 2): {lint['columnar_jobs2_s']:.4f} s\n\n"
-        f"_window_overlaps rewrite (satellite fix), {wo['intervals']} x "
+        f"windowed-mapping pairing kernel, {wo['intervals']} x "
         f"{wo['intervals']} intervals:\n"
-        f"  quadratic seed : {wo['before_s'] * 1e3:8.1f} ms\n"
-        f"  sorted+bisect  : {wo['after_s'] * 1e3:8.1f} ms  ({wo['speedup']:.1f}x)\n\n"
+        f"  quadratic seed   : {wo['before_s'] * 1e3:8.1f} ms\n"
+        f"  _window_pairs    : {wo['after_s'] * 1e3:8.1f} ms  ({wo['speedup']:.1f}x)\n\n"
         f"trace info peak RSS growth over a bare open (subprocess, "
         f"{rss['transitions']:,} transitions, {rss['file_bytes']:,}-byte file):\n"
         f"  info (footer only) : {rss['info_delta_kib']:>8,} KiB\n"
         f"  full event read    : {rss['full_delta_kib']:>8,} KiB\n\n"
         "shape: pushdown query >= 3x row replay; columnar seek > 2x linear;\n"
-        "fig7 answers identical across layouts; _window_overlaps > 2x the\n"
+        "fig7 answers identical across layouts; _window_pairs > 2x the\n"
         "seed; info() RSS bounded by footer pages, not file size.\n"
         "Machine-readable numbers: benchmarks/out/BENCH_trace.json (abl10)."
     )

@@ -918,11 +918,24 @@ class ColumnarTraceReader:
             return None
         return (self.t0, self.t1)
 
-    def last_transition_time(self) -> float | None:
-        """Time of the last transition record, from zone maps alone."""
-        for seg in reversed(self.segments):
-            if seg.n_trans:
+    def last_transition_time(self, node: Any = ALL_NODES) -> float | None:
+        """Time of the last transition record (of ``node``'s, if given).
+
+        Over all nodes this reads zone maps alone; for one node it walks
+        the segments backwards over their node column and decodes one
+        segment's time column.  ``None`` when there is no such transition.
+        """
+        want = None if node is ALL_NODES else encode_node(node)
+        for i in range(len(self.segments) - 1, -1, -1):
+            seg = self.segments[i]
+            if not seg.n_trans:
+                continue
+            if want is None:
                 return seg.trans_t_max
+            nodes = self._col_u32(i, COL_NODE, seg.n_trans)
+            nodes.reverse()
+            if want in nodes:
+                return self._col_f64(i, COL_T, seg.n_trans)[-1 - nodes.index(want)]
         return None
 
     def to_trace(self) -> Trace:

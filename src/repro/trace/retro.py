@@ -26,8 +26,9 @@ answers them *after* the run, from a recorded history (a
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from ..core.events import EventKind, SentenceEvent
@@ -125,11 +126,12 @@ def batch_event_plan(
     Pushdown fast path: replay only the sentences the questions' patterns
     can observe (satisfaction cannot depend on any other sentence), as one
     union sentence-id set for *all* questions, so a columnar reader answers
-    the entire batch in a single zone-map-pruned pass.  When the caller
-    leaves ``end_time`` defaulted, the default is the last *replayed*
-    event's time, which a filtered replay would change -- so it comes from
-    the reader's transitions-only bound instead, and sources where that
-    bound is a full extra walk (no ``end_time`` and a node filter) keep
+    the entire batch in a single zone-map-pruned pass, node filter
+    included.  When the caller leaves ``end_time`` defaulted, the default
+    is the last *replayed* event's time, which a filtered replay would
+    change -- so it comes from the reader's transitions-only bound instead
+    (for a node filter, that node's last transition, found by walking the
+    segments backwards; 0.0 when the node has none).  Other sources keep
     the plain replay.  Returns ``(events, node_filtered, end)`` where
     ``events`` is the transition iterable, ``node_filtered`` says the
     source already applied the ``node`` filter, and ``end`` is the
@@ -137,20 +139,18 @@ def batch_event_plan(
     resolved by the caller).
     """
     end = end_time
-    if hasattr(source, "scan_transitions") and (end_time is not None or node is None):
+    if hasattr(source, "scan_transitions"):
         # static reachability shrinks the union scan set: a table-dead
         # conjunction can never flip, so its patterns' events need not
         # be replayed at all (answers stay byte-identical; pinned by
         # tests/trace/test_retro_batch.py)
         sids = question_sids(source.sentences, questions, prune_dead=True)
         if sids is not None:
+            want = ALL_NODES if node is None else node
             if end is None:
-                last_t = source.last_transition_time()
+                last_t = source.last_transition_time(node=want)
                 end = last_t if last_t is not None else 0.0
-            events = source.scan_transitions(
-                sids=sids, node=ALL_NODES if node is None else node
-            )
-            return events, True, end
+            return source.scan_transitions(sids=sids, node=want), True, end
     return _iter_events(source), False, end
 
 
@@ -255,50 +255,59 @@ class WindowedMapping:
     overlaps: int
 
 
-def _sorted_with_ends(
-    ivs: list[tuple[float, float]],
-) -> tuple[list[tuple[float, float]], list[float] | None]:
-    """Destination intervals prepared for :func:`_window_overlaps`: sorted
-    by start, plus their end times when those are also non-decreasing
-    (always true for flattened -- disjoint -- intervals), else ``None``."""
-    ivs = sorted(ivs)
-    ends = [d1 for _, d1 in ivs]
-    if any(a > b for a, b in zip(ends, ends[1:])):
-        return ivs, None  # overlapping input: early-break only, no bisect
-    return ivs, ends
-
-
-def _window_overlaps(
-    src_ivs: list[tuple[float, float]],
-    dst_ivs: list[tuple[float, float]],
+def _window_pairs(
+    sources: Sequence[Sequence[tuple[float, float]]],
+    dests: Sequence[Sequence[tuple[float, float]]],
     window: float,
-    _dst_prepared: tuple[list[tuple[float, float]], list[float] | None] | None = None,
-) -> tuple[int, float]:
-    """(matched pair count, min lag) of dst intervals starting within
-    ``window`` after a src interval (or overlapping it).
+) -> tuple[list[list[int]], list[list[float]]]:
+    """Windowed pairing of every source with every destination.
 
-    The seed version cross-multiplied every (src, dst) interval pair --
-    O(I^2) per sentence pair and the Figure-7 bottleneck on long runs.
-    With destinations sorted by start, each source interval scans only
-    ``d1 >= s0`` (bisect on the sorted end times) through ``d0 <= s1 +
-    window`` (early break), i.e. exactly the matching span.
+    ``counts[j][i]`` counts the (source-``i`` interval ``[s0, s1]``,
+    destination-``j`` interval ``[d0, d1]``) pairs with ``d1 >= s0`` and
+    ``d0 <= s1 + window``; ``lags[j][i]`` is their smallest ``d0 - s1``,
+    clamped at 0.0 (``inf`` when there are none).  Per destination, two
+    ``searchsorted`` calls over all source intervals give the count,
+    ``#(d0 <= s1 + window) - #(d1 < s0)`` (exact when ``window >= 0`` or
+    the destinations do not overlap), and, through a suffix minimum of the
+    end-sorted starts, the smallest matched start; ``reduceat`` folds each
+    source's intervals.  DESIGN §8 derives both identities; monotone float
+    arithmetic makes each lag bit-equal to the pair-by-pair minimum.
     """
-    count = 0
-    min_lag = float("inf")
-    dst, ends = _sorted_with_ends(dst_ivs) if _dst_prepared is None else _dst_prepared
-    for s0, s1 in src_ivs:
-        lo = bisect_left(ends, s0) if ends is not None else 0
-        hi_t = s1 + window
-        for j in range(lo, len(dst)):
-            d0, d1 = dst[j]
-            if d0 > hi_t:
-                break  # starts are sorted: no later dst can match
-            if d1 >= s0:
-                count += 1
-                lag = d0 - s1
-                if lag < min_lag:
-                    min_lag = lag if lag > 0.0 else 0.0
-    return count, min_lag
+    import numpy as np
+
+    sizes = np.array([len(ivs) for ivs in sources], dtype=np.int64)
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(sources)),
+        dtype=np.float64,
+        count=2 * int(sizes.sum()),
+    ).reshape(-1, 2)
+    s0, s1 = flat[:, 0], flat[:, 1]
+    hi = s1 + window
+    # reduceat folds from one offset to the next, so fold the sources that
+    # have intervals; the others keep 0 and inf
+    live = sizes > 0
+    offsets = (np.cumsum(sizes) - sizes)[live]
+    counts: list[list[int]] = []
+    lags: list[list[float]] = []
+    for ivs in dests:
+        d = np.array(ivs, dtype=np.float64).reshape(-1, 2)
+        by_end = np.argsort(d[:, 1], kind="stable")
+        ended = np.searchsorted(d[by_end, 1], s0, side="left")  # #(d1 < s0)
+        cnt = np.searchsorted(np.sort(d[:, 0]), hi, side="right")
+        cnt -= ended
+        np.maximum(cnt, 0, out=cnt)
+        # suffix minimum of the end-sorted starts, then inf past the last
+        first = np.append(np.minimum.accumulate(d[by_end, 0][::-1])[::-1], np.inf)
+        lag = first[ended]
+        lag -= s1
+        lag[cnt == 0] = np.inf
+        per_count = np.zeros(len(sizes), dtype=np.int64)
+        per_lag = np.full(len(sizes), np.inf)
+        per_count[live] = np.add.reduceat(cnt, offsets)
+        per_lag[live] = np.minimum.reduceat(lag, offsets)
+        counts.append(per_count.tolist())
+        lags.append([x if x > 0.0 else 0.0 for x in per_lag.tolist()])
+    return counts, lags
 
 
 def windowed_mappings(
@@ -321,7 +330,8 @@ def windowed_mappings(
 
     ``src_filter`` / ``dst_filter`` are :class:`SentencePattern`\\ s or
     predicates restricting which sentences play each role (identical
-    sentences never map to themselves).
+    sentences never map to themselves).  Mappings come source by source,
+    each source's destinations in first-activation order.
 
     ``jobs > 1`` computes the intervals with the parallel segment scan
     (columnar sources only; everything downstream is unchanged).
@@ -334,17 +344,17 @@ def windowed_mappings(
     intervals = sentence_intervals(source, end_time, matchers=matchers, jobs=jobs)
     src_ok = _as_matcher(src_filter) if src_filter is not None else lambda s: True
     dst_ok = _as_matcher(dst_filter) if dst_filter is not None else lambda s: True
-    sources = {s: ivs for s, ivs in intervals.items() if src_ok(s)}
-    dests = {s: _sorted_with_ends(ivs) for s, ivs in intervals.items() if dst_ok(s)}
-    out: list[WindowedMapping] = []
-    for src, src_ivs in sources.items():
-        for dst, dst_prep in dests.items():
-            if src == dst:
-                continue
-            count, lag = _window_overlaps(src_ivs, dst_prep[0], window, dst_prep)
-            if count:
-                out.append(WindowedMapping(src, dst, lag, count))
-    return out
+    sources = [s for s in intervals if src_ok(s)]
+    dests = [s for s in intervals if dst_ok(s)]
+    counts, lags = _window_pairs(
+        [intervals[s] for s in sources], [intervals[d] for d in dests], window
+    )
+    return [
+        WindowedMapping(src, dst, lags[j][i], counts[j][i])
+        for i, src in enumerate(sources)
+        for j, dst in enumerate(dests)
+        if counts[j][i] and src != dst
+    ]
 
 
 @dataclass
@@ -383,6 +393,10 @@ def windowed_attribution(
     ``key`` maps a producer sentence to its attribution bucket (default:
     the sentence's rendering).  Consumers matching no producer are counted
     in ``unattributed``.
+
+    Consumers are swept in start order; fifo keeps the started, unconsumed
+    producers on a heap ordered by (end, start) rank, so matching costs
+    O((P + C) log P) for P producer and C consumer occurrences.
     """
     if policy not in ("fifo", "all"):
         raise ValueError(f"unknown attribution policy {policy!r}")
@@ -406,22 +420,31 @@ def windowed_attribution(
     counts: dict[str, int] = {}
     pairs: list[tuple[Sentence, Sentence, float]] = []
     unattributed = 0
-    consumed = [False] * len(prods)
+    # consumers come in start order, so a producer that has started stays
+    # started, and one whose window has closed (p1 + window < c0) stays
+    # closed; in rank order the closed producers are a prefix
+    by_start = sorted(range(len(prods)), key=lambda i: prods[i][0])
+    started = 0
+    heap: list[int] = []  # fifo: started, unconsumed producers by rank
+    closed = 0  # all: the closed rank prefix
     for c0, _c1, csent in cons:
-        matched = False
-        for i, (p0, p1, psent) in enumerate(prods):
-            if policy == "fifo" and consumed[i]:
-                continue
-            if p0 <= c0 <= p1 + window:
-                bucket = keyfn(psent)
-                counts[bucket] = counts.get(bucket, 0) + 1
-                pairs.append((psent, csent, max(0.0, c0 - p1)))
-                matched = True
-                if policy == "fifo":
-                    consumed[i] = True
-                    break
-        if not matched:
+        if policy == "fifo":
+            while started < len(by_start) and prods[by_start[started]][0] <= c0:
+                heappush(heap, by_start[started])
+                started += 1
+            while heap and prods[heap[0]][1] + window < c0:
+                heappop(heap)
+            hits = [prods[heappop(heap)]] if heap else []
+        else:
+            while closed < len(prods) and prods[closed][1] + window < c0:
+                closed += 1
+            hits = [p for p in prods[closed:] if p[0] <= c0]
+        if not hits:
             unattributed += 1
+        for _p0, p1, psent in hits:
+            bucket = keyfn(psent)
+            counts[bucket] = counts.get(bucket, 0) + 1
+            pairs.append((psent, csent, max(0.0, c0 - p1)))
     return AttributionResult(counts=counts, unattributed=unattributed, pairs=pairs)
 
 

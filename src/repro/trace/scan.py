@@ -16,14 +16,17 @@ over every trace source:
   callers never branch on the store layout;
 * :func:`filtered_intervals` is :func:`~repro.trace.retro.sentence_intervals`
   with pushdown: per-sentence depth counting touches only the filtered
-  sentences' events (exact, because depth is per-sentence state);
+  sentences' events (exact, because depth is per-sentence state).  On a
+  columnar reader it counts by sentence id over the raw transition
+  columns and builds no event objects;
 * :func:`parallel_intervals` fans contiguous segment ranges across the
-  PR-6 sweep pool (:class:`~repro.sweep.runner.SweepRunner`): each worker
-  seeds per-sentence depth from its first segment's embedded SAS snapshot,
-  emits only intervals that *close* inside its range (each interval closes
-  in exactly one segment, so the merge is concatenation), and the final
-  range closes still-open intervals at the end time.  Results travel as
-  plain ``{sid: flat float list}`` data through the pickle-free transport.
+  sweep pool (:class:`~repro.sweep.runner.SweepRunner`), each worker
+  running the serial scan's own loop: it seeds per-sentence depth from its
+  first segment's embedded SAS snapshot, emits only intervals that *close*
+  inside its range (each interval closes in exactly one segment, so the
+  merge is concatenation), and the final range closes still-open
+  intervals at the end time.  Results travel as plain ``{sid: flat float
+  list}`` data through the pickle-free transport.
 """
 
 from __future__ import annotations
@@ -184,8 +187,19 @@ def filtered_intervals(
     non-matching sentences' events, because per-sentence depth counting
     never looks across sentences.  Still-open activations close at
     ``end_time`` (default: the last transition's time **of the whole
-    trace**, filtered or not, matching the unfiltered semantics).
+    trace**, filtered or not, matching the unfiltered semantics).  Keys
+    come in first-activation order.
+
+    A columnar reader is flattened by sentence id, straight from its
+    transition columns (:func:`_flatten_segments`, the loop the parallel
+    scan runs too); no :class:`SentenceEvent` is built.  Every other
+    source replays its events.
     """
+    if hasattr(source, "segment_transitions"):
+        sids, indices, end = _columnar_plan(source, matchers, end_time)
+        return _sentence_keyed(
+            source, _flatten_segments(source, indices, sids, end)
+        )
     track_last = matchers is None and end_time is None
     if matchers is not None and end_time is None:
         if not (
@@ -223,6 +237,88 @@ def filtered_intervals(
 
 
 # ----------------------------------------------------------------------
+# columnar flattening: one loop, serial and parallel
+# ----------------------------------------------------------------------
+def _columnar_plan(reader, matchers, end_time):
+    """``(sids, segment indices, close time)`` of a columnar flattening:
+    the matching sentence ids (``None``: all), the zone-map-kept segments
+    holding transitions, and where still-open intervals close."""
+    sids = (
+        matching_sids(reader.sentences, matchers) if matchers is not None else None
+    )
+    indices = [i for i in reader.prune_segments(sids=sids) if reader.segments[i].n_trans]
+    if end_time is None:
+        end_time = reader.last_transition_time()
+    return sids, indices, end_time if end_time is not None else 0.0
+
+
+def _flatten_segments(
+    reader, indices: Sequence[int], sids, close_at: float | None
+) -> dict[int, list[float]]:
+    """Flatten intervals over a run of segments of a columnar reader.
+
+    Depth and open-interval starts come from the first segment's embedded
+    snapshot (restricted to ``sids``; ``None`` keeps every sentence), so a
+    range replays with no dependency on earlier segments.  A sentence is
+    filed at its first activation, the serial scan's key order; one open
+    when the range starts is filed first, but an earlier range activated
+    it, so a merge of ranges in order that keeps first-seen keys keeps the
+    serial order.  Only intervals that *close* in the range are emitted --
+    plus, when ``close_at`` is given (the final range), the still-open ones
+    at that time.  Returns plain data for the pickle-free sweep transport:
+    ``{sid: [s0, e0, s1, e1, ...]}``.
+    """
+    out: dict[int, list[float]] = {}
+    if not indices:
+        return out
+    n = len(reader.sentences)
+    keep = [sids is None] * n
+    for sid in sids or ():
+        keep[sid] = True
+    depth = [0] * n
+    start = [0.0] * n
+    for sid, (d, s) in reader.segment_open_intervals(indices[0]).items():
+        if keep[sid]:
+            depth[sid] = d
+            start[sid] = s
+            out[sid] = []
+    for idx in indices:
+        times, seg_sids, kinds, _nodes = reader.segment_transitions(idx)
+        for t, sid, act in zip(times, seg_sids, kinds):
+            if not keep[sid]:
+                continue
+            d = depth[sid]
+            if act:
+                depth[sid] = d + 1
+                if not d:
+                    start[sid] = t
+                    if sid not in out:
+                        out[sid] = []
+            elif d == 1:
+                depth[sid] = 0
+                out[sid] += (start[sid], t)
+            elif d:
+                depth[sid] = d - 1
+            else:
+                raise ValueError(
+                    f"deactivate without activate for {reader.sentences[sid]}"
+                )
+    if close_at is not None:
+        for sid, d in enumerate(depth):
+            if d:
+                out[sid] += (start[sid], close_at)
+    return out
+
+
+def _sentence_keyed(reader, flat_by_sid: dict[int, list[float]]):
+    sentences = reader.sentences
+    return {
+        sentences[sid]: list(zip(flat[::2], flat[1::2]))
+        for sid, flat in flat_by_sid.items()
+    }
+
+
+# ----------------------------------------------------------------------
 # parallel segment scans (columnar only)
 # ----------------------------------------------------------------------
 #: per-process reader cache: workers reopen each trace file once, then
@@ -245,51 +341,8 @@ def _scan_segments_task(
     sids: tuple[int, ...] | None,
     close_at: float | None,
 ) -> dict[int, list[float]]:
-    """Sweep-task body: flatten intervals over one contiguous segment range.
-
-    Initial per-sentence depth and earliest-open-activation time come from
-    the first segment's embedded snapshot (restricted to ``sids``), so the
-    range replays with no dependency on any earlier segment.  Only
-    intervals that *close* in this range are emitted -- plus, when
-    ``close_at`` is given (the final range), the still-open ones at that
-    time.  Returns plain data for the pickle-free transport:
-    ``{sid: [s0, e0, s1, e1, ...]}``.
-    """
-    if not indices:
-        return {}
-    reader = _cached_reader(path)
-    want = frozenset(sids) if sids is not None else None
-    depth: dict[int, int] = {}
-    start: dict[int, float] = {}
-    for sid, (d, s) in reader.segment_open_intervals(indices[0]).items():
-        if want is not None and sid not in want:
-            continue
-        depth[sid] = d
-        start[sid] = s
-    out: dict[int, list[float]] = {}
-    for idx in indices:
-        times, seg_sids, kinds, nodes = reader.segment_transitions(idx)
-        for j in range(len(times)):
-            sid = seg_sids[j]
-            if want is not None and sid not in want:
-                continue
-            d = depth.get(sid, 0)
-            if kinds[j]:
-                if d == 0:
-                    start[sid] = times[j]
-                depth[sid] = d + 1
-            else:
-                if d == 0:
-                    raise ValueError(
-                        f"deactivate without activate for sentence id {sid}"
-                    )
-                depth[sid] = d - 1
-                if d == 1:
-                    out.setdefault(sid, []).extend((start.pop(sid), times[j]))
-    if close_at is not None:
-        for sid, s in start.items():
-            out.setdefault(sid, []).extend((s, close_at))
-    return out
+    """Sweep-task body: :func:`_flatten_segments` over one segment range."""
+    return _flatten_segments(_cached_reader(path), indices, sids, close_at)
 
 
 def parallel_intervals(
@@ -304,19 +357,16 @@ def parallel_intervals(
     Only columnar readers parallelize (segments are the unit of
     independence); every other source falls back to the serial scan.
     Zone-map pruning happens *before* fan-out, so workers never open a
-    segment with no matching sentence.  The merge concatenates per-range
-    results in range order -- identical to the serial output because each
-    interval closes in exactly one segment.
+    segment with no matching sentence.  Each worker runs the serial scan's
+    own loop (:func:`_flatten_segments`) over a contiguous segment range,
+    and the merge concatenates per-range results in range order, keeping
+    each sentence where it was first seen: each interval closes in exactly
+    one segment, and each sentence is filed at its first activation, so
+    the output equals the serial one, key order included.
     """
     if not hasattr(reader, "segment_transitions"):
         return filtered_intervals(reader, matchers, end_time)
-    if end_time is None:
-        end_time = reader.last_transition_time()
-    sids = (
-        matching_sids(reader.sentences, matchers) if matchers is not None else None
-    )
-    pruned = reader.prune_segments(sids=sids)
-    pruned = [i for i in pruned if reader.segments[i].n_trans]
+    sids, pruned, close = _columnar_plan(reader, matchers, end_time)
     if not pruned:
         return {}
     if runner is None:
@@ -325,7 +375,7 @@ def parallel_intervals(
         runner = SweepRunner(workers=jobs)
     nranges = min(runner.workers * 2, len(pruned))
     if nranges <= 1:
-        return filtered_intervals(reader, matchers, end_time)
+        return _sentence_keyed(reader, _flatten_segments(reader, pruned, sids, close))
     bounds = [round(k * len(pruned) / nranges) for k in range(nranges + 1)]
     ranges = [
         tuple(pruned[bounds[k] : bounds[k + 1]])
@@ -335,7 +385,6 @@ def parallel_intervals(
     from ..sweep.runner import SweepTask
 
     sid_arg = tuple(sorted(sids)) if sids is not None else None
-    close = end_time if end_time is not None else 0.0
     tasks = [
         SweepTask(
             key=f"scan:{reader.path}:{k}",
@@ -344,13 +393,8 @@ def parallel_intervals(
         )
         for k, rng in enumerate(ranges)
     ]
-    results = runner.run(tasks)
     merged: dict[int, list[float]] = {}
-    for result in results:
+    for result in runner.run(tasks):
         for sid, flat in result.value.items():
             merged.setdefault(sid, []).extend(flat)
-    sentences = reader.sentences
-    return {
-        sentences[sid]: list(zip(flat[::2], flat[1::2]))
-        for sid, flat in merged.items()
-    }
+    return _sentence_keyed(reader, merged)

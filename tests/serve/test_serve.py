@@ -125,6 +125,26 @@ def test_two_overlapping_subscribers_match_retro_oracle(db_trace):
             assert ans["satisfied_at_end"] == ref.satisfied_at_end
 
 
+def test_node_filtered_batch_matches_trace_query(db_trace, capsys):
+    # the fixture's three clients record as nodes 0-2, the server as node 3
+    specs = [
+        QuestionSpec(patterns=("{? QueryActive}@Database",)),
+        QuestionSpec(patterns=("{Q0 QueryActive}", "{server0 DiskRead}")),
+    ]
+    for node in (0, 3):
+        [(payload, divergence)] = asyncio.run(
+            _serve_batch(TraceSource(db_trace, node=node), [specs])
+        )
+        assert divergence == 0
+        for spec in specs:
+            patterns = [arg for p in spec.patterns for arg in ("--pattern", p)]
+            capsys.readouterr()
+            assert main(["trace", "query", db_trace, *patterns, "--node", str(node), "--json"]) == 0
+            want = json.loads(capsys.readouterr().out)["questions"]
+            name = spec.display_name()
+            assert payload["questions"][name] == want[name], (node, name)
+
+
 def test_interval_open_at_end_is_streamed_closed_at_end_time(tmp_path):
     # {A Sum} is satisfied over [1, 2] and again from 3 until the last
     # recorded transition (5): the server streams the closed interval as

@@ -75,6 +75,8 @@ def _light_commands(trace: Path, out: Path) -> dict[str, list[str]]:
         "trace record": ["trace", "record", "db", "--out", str(out), "--queries", "2"],
         "trace info": ["trace", "info", str(trace)],
         "trace query": ["trace", "query", str(trace), "--pattern", "{server0 DiskRead}", "--json"],
+        # only --mappings pairs intervals with numpy
+        "trace query --stats": ["trace", "query", str(trace), "--stats", "--json"],
         "lint": ["lint", "--deep", str(CORPUS / "flow_leak.pif")],
         "mapc check": ["mapc", "check", "--deep", *map(str, sorted(EXAMPLES.glob("*.map")))],
         "sweep": ["sweep", "db", "--serial", "--clients", "1,2", "--queries", "2"],
@@ -92,7 +94,10 @@ def test_import_cli_loads_no_subpackage():
 
 @pytest.mark.parametrize(
     "name",
-    ["help", "trace record", "trace info", "trace query", "lint", "mapc check", "sweep", "metrics"],
+    [
+        "help", "trace record", "trace info", "trace query", "trace query --stats", "lint",
+        "mapc check", "sweep", "metrics",
+    ],
 )
 def test_light_commands_skip_numpy_and_the_runtime(name, trace_file, tmp_path):
     argv = _light_commands(trace_file, tmp_path / "out.rtrcx")[name]

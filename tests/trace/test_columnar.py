@@ -220,6 +220,19 @@ class TestParallelIntervals:
         got = parallel_intervals(col, runner=SweepRunner(workers=2))
         assert got == serial
 
+    def test_jobs_keep_serial_key_order(self, tmp_path):
+        # a sentence is filed at its first activation in every range, so
+        # the merged dict -- and everything built from it -- comes out in
+        # the serial order, not in order of first close within a range
+        trace = random_trace(43, events=600, nodes=3, sentences=16)
+        _row, col = record_pair(tmp_path, trace, segment_records=16)
+        serial = sentence_intervals(col)
+        parallel = sentence_intervals(col, jobs=2)
+        assert list(parallel.items()) == list(serial.items())
+        assert windowed_mappings(col, window=0.01, jobs=2) == windowed_mappings(
+            col, window=0.01
+        )
+
     def test_filtered_parallel_matches_filtered_serial(self, tmp_path):
         trace = random_trace(51, events=400, nodes=2)
         _row, col = record_pair(tmp_path, trace, segment_records=16)

@@ -190,7 +190,7 @@ class TestWindowedMappings:
 
 
 class TestWindowOverlapsEquivalence:
-    """The bisect/early-break rewrite must match the quadratic reference."""
+    """The vectorized pairing kernel must match the quadratic reference."""
 
     @staticmethod
     def reference(src_ivs, dst_ivs, window):
@@ -224,23 +224,43 @@ class TestWindowOverlapsEquivalence:
     def test_matches_quadratic_reference(self):
         import random
 
-        from repro.trace.retro import _window_overlaps
+        from repro.trace.retro import _window_pairs
 
         rng = random.Random(1234)
         for trial in range(200):
-            disjoint = trial % 2 == 0  # flattened (sorted-ends) and not
-            src = self.random_intervals(rng, rng.randrange(0, 12), disjoint)
-            dst = self.random_intervals(rng, rng.randrange(0, 12), disjoint)
-            window = rng.choice([0.0, 0.05, 0.5, 5.0])
-            got = _window_overlaps(src, dst, window)
-            want = self.reference(src, dst, window)
-            assert got == want, (trial, src, dst, window)
+            disjoint = trial % 2 == 0  # flattened (non-overlapping) and not
+            srcs = [
+                self.random_intervals(rng, rng.randrange(0, 12), disjoint)
+                for _ in range(rng.randrange(1, 4))
+            ]
+            dsts = [
+                self.random_intervals(rng, rng.randrange(0, 12), disjoint)
+                for _ in range(rng.randrange(1, 4))
+            ]
+            # a negative window is exact on non-overlapping destinations
+            windows = [0.0, 0.05, 0.5, 5.0] + ([-0.3] if disjoint else [])
+            window = rng.choice(windows)
+            counts, lags = _window_pairs(srcs, dsts, window)
+            for j, dst in enumerate(dsts):
+                for i, src in enumerate(srcs):
+                    got = (counts[j][i], lags[j][i])
+                    want = self.reference(src, dst, window)
+                    assert got == want, (trial, src, dst, window)
+                    assert type(got[0]) is int and type(got[1]) is float
 
     def test_empty_sides(self):
-        from repro.trace.retro import _window_overlaps
+        from repro.trace.retro import _window_pairs
 
-        assert _window_overlaps([], [(1.0, 2.0)], 1.0) == (0, float("inf"))
-        assert _window_overlaps([(1.0, 2.0)], [], 1.0) == (0, float("inf"))
+        inf = float("inf")
+        assert _window_pairs([[]], [[(1.0, 2.0)]], 1.0) == ([[0]], [[inf]])
+        assert _window_pairs([[(1.0, 2.0)]], [[]], 1.0) == ([[0]], [[inf]])
+        assert _window_pairs([], [[(1.0, 2.0)]], 1.0) == ([[]], [[]])
+        assert _window_pairs([[(1.0, 2.0)]], [], 1.0) == ([], [])
+        # an empty source between two others reads nobody's sums
+        counts, lags = _window_pairs(
+            [[(0.0, 1.0)], [], [(5.0, 6.0)]], [[(0.5, 0.75), (5.5, 7.0)]], 0.0
+        )
+        assert counts == [[1, 0, 1]] and lags == [[0.0, inf, 0.0]]
 
 
 class TestWindowedAttribution:
@@ -296,6 +316,72 @@ class TestWindowedAttribution:
     def test_unknown_policy_raises(self):
         with pytest.raises(ValueError, match="unknown attribution policy"):
             windowed_attribution(make_trace(self.ROWS), lambda s: True, lambda s: True, 1.0, policy="lifo")
+
+
+def reference_attribution(intervals, prod_ok, cons_ok, window, policy):
+    """The quadratic producer scan windowed_attribution used to run."""
+    prods = sorted(
+        ((s0, s1, sent) for sent, ivs in intervals.items() if prod_ok(sent) for s0, s1 in ivs),
+        key=lambda p: (p[1], p[0]),
+    )
+    cons = sorted(
+        ((c0, c1, sent) for sent, ivs in intervals.items() if cons_ok(sent) for c0, c1 in ivs),
+        key=lambda c: (c[0], c[1]),
+    )
+    counts, pairs, unattributed = {}, [], 0
+    consumed = [False] * len(prods)
+    for c0, _c1, csent in cons:
+        matched = False
+        for i, (p0, p1, psent) in enumerate(prods):
+            if policy == "fifo" and consumed[i]:
+                continue
+            if p0 <= c0 <= p1 + window:
+                counts[str(psent)] = counts.get(str(psent), 0) + 1
+                pairs.append((psent, csent, max(0.0, c0 - p1)))
+                matched = True
+                if policy == "fifo":
+                    consumed[i] = True
+                    break
+        if not matched:
+            unattributed += 1
+    return counts, pairs, unattributed
+
+
+class TestAttributionReference:
+    """The heap sweep answers exactly what the quadratic scan answered."""
+
+    @staticmethod
+    def random_trace(rng):
+        # times on a coarse grid, so starts and ends tie across sentences
+        per_sentence = []
+        for role, verb in (("p", "Prod"), ("c", "Cons")):
+            for k in range(rng.randrange(1, 4)):
+                sent = sentence(Verb(verb, "L"), Noun(f"{role}{k}", "L"))
+                t = rng.randrange(0, 4) * 0.5
+                rows = []
+                for _ in range(rng.randrange(0, 6)):
+                    end = t + rng.randrange(0, 4) * 0.5
+                    rows += [(t, EventKind.ACTIVATE, sent), (end, EventKind.DEACTIVATE, sent)]
+                    t = end + rng.randrange(1, 4) * 0.5
+                per_sentence.append(rows)
+        rows = sorted((r for rs in per_sentence for r in rs), key=lambda r: r[0])
+        return make_trace(rows)
+
+    @pytest.mark.parametrize("policy", ["fifo", "all"])
+    def test_matches_quadratic_reference(self, policy):
+        import random
+
+        prod = SentencePattern("Prod", ("?",))
+        cons = SentencePattern("Cons", ("?",))
+        rng = random.Random(77)
+        for trial in range(150):
+            trace = self.random_trace(rng)
+            window = rng.choice([0.0, 0.0, 0.5, 1.0, 3.0])
+            got = windowed_attribution(trace, prod, cons, window, policy=policy)
+            want = reference_attribution(
+                sentence_intervals(trace), prod.matches, cons.matches, window, policy
+            )
+            assert (got.counts, got.pairs, got.unattributed) == want, (trial, window)
 
 
 class TestStatsAndDiff:

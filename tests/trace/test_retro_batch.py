@@ -20,6 +20,7 @@ from repro.core import (
     QNot,
     QOr,
     Sentence,
+    SentenceEvent,
     SentencePattern,
     Trace,
     Verb,
@@ -66,20 +67,62 @@ def test_in_memory_trace_batch_identical(seed):
         assert_identical(evaluate_questions(trace, [q]), {name: reference[name]})
 
 
+def with_quiet_tail(trace, node=2, pairs=64):
+    """``trace``'s events, then ``pairs`` activations of a sentence no
+    question matches, on ``node`` alone: every other node's last
+    transition ends up at least one 64-record segment before the end."""
+    last = trace.events()[-1].time
+    tail = Sentence(Verb("TailOnly", "Tail"), (Noun("tail", "Tail"),))
+    events = list(trace.events())
+    for k in range(pairs):
+        for dt, kind in ((1.0, EventKind.ACTIVATE), (1.5, EventKind.DEACTIVATE)):
+            events.append(SentenceEvent(last + 2 * k + dt, kind, tail, node))
+    return events
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shards", [1, 4])
 def test_columnar_pushdown_batch_identical(tmp_path, seed, shards):
     trace = random_trace(seed, events=300, nodes=2, sentences=14)
     qs = questions_for(trace)
+    events = with_quiet_tail(trace)
     path = tmp_path / "t.rtrcx"
     writer = ColumnarTraceWriter(str(path), segment_records=64)
-    writer.record_trace(trace.events())
+    writer.record_trace(events)
     writer.close()
     with open_trace(str(path)) as reader:
-        for kwargs in ({}, {"end_time": 9.0}, {"node": 0}, {"node": 1, "end_time": 4.0}):
+        # node 0 stops at least a segment before the file does
+        assert reader.last_transition_time(node=0) < reader.segments[-2].t_min
+        for kwargs in (
+            {}, {"end_time": 9.0}, {"node": 0}, {"node": 1, "end_time": 4.0},
+            {"node": 5},  # no transitions at all: the end defaults to 0.0
+        ):
             assert_identical(
                 evaluate_question_batch(reader, qs, shards=shards, **kwargs),
-                naive_answers(trace.events(), qs, **kwargs),
+                naive_answers(events, qs, **kwargs),
+            )
+
+
+def test_node_filtered_default_end_never_replays_the_file(tmp_path, monkeypatch):
+    # the node's default end comes from walking segments back over the node
+    # column, so the question is pushed into the zone-map-pruned scan
+    trace = random_trace(3, events=300, nodes=2, sentences=14)
+    qs = questions_for(trace)
+    events = with_quiet_tail(trace)
+    path = tmp_path / "t.rtrcx"
+    writer = ColumnarTraceWriter(str(path), segment_records=64)
+    writer.record_trace(events)
+    writer.close()
+    with open_trace(str(path)) as reader:
+
+        def full_replay():
+            raise AssertionError("node-filtered question replayed every event")
+
+        monkeypatch.setattr(reader, "events", full_replay)
+        for node in (0, 1, 5):
+            assert_identical(
+                evaluate_question_batch(reader, qs, node=node),
+                naive_answers(events, qs, node=node),
             )
 
 
