@@ -47,9 +47,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .core import EventKind, MultiQuestionEngine, OrderedQuestion, PerformanceQuestion
+from .core import MultiQuestionEngine, OrderedQuestion, PerformanceQuestion
 from .trace import open_trace
-from .trace.retro import batch_event_plan, parse_pattern
+from .trace.retro import parse_pattern, replay_batch
 
 __all__ = [
     "QuestionSpec",
@@ -62,7 +62,8 @@ __all__ = [
     "run_client",
 ]
 
-#: transitions replayed between cooperative yields / stream flushes
+#: membership changes (transitions, for a row trace) replayed between
+#: cooperative yields / stream flushes
 REPLAY_CHUNK = 512
 
 
@@ -147,7 +148,10 @@ class _Client:
 
 
 class TraceSource:
-    """Recorded-run source: one shared zone-map-pruned replay per batch."""
+    """Recorded-run source: one shared replay per batch, the one
+    :func:`~repro.trace.retro.evaluate_question_batch` runs -- by sentence
+    id over the zone-map-kept rows of a columnar file, by event over a row
+    file."""
 
     def __init__(self, path: str, node: int | None = None):
         self.path = path
@@ -163,23 +167,17 @@ class TraceSource:
         return list(self.reader.sentences)
 
     async def run_batch(self, engine, questions, flush) -> float:
-        events, node_filtered, end = batch_event_plan(
-            self.reader, questions, None, self.node
-        )
-        last = 0.0
-        pending = 0
-        for event in events:
-            if not node_filtered and self.node is not None and event.node_id != self.node:
-                continue
-            last = event.time
-            engine.transition(
-                event.sentence, event.kind is EventKind.ACTIVATE, event.time
-            )
-            pending += 1
-            if pending >= REPLAY_CHUNK:
-                pending = 0
-                await flush()  # stream closed intervals; let clients drain
-        return end if end is not None else last
+        """Replay the batch into ``engine`` exactly as ``repro trace query``
+        does (:func:`~repro.trace.retro.replay_batch`), flushing streamed
+        intervals after every :data:`REPLAY_CHUNK` changes it feeds."""
+        replay = replay_batch(engine, self.reader, questions, node=self.node,
+                              chunk=REPLAY_CHUNK)
+        while True:
+            try:
+                next(replay)
+            except StopIteration as done:
+                return done.value
+            await flush()  # stream closed intervals; let clients drain
 
     def close(self) -> None:
         close = getattr(self.reader, "close", None)

@@ -50,7 +50,7 @@ import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..core.events import EventKind, SentenceEvent, Trace
 from ..core.nouns import Sentence
@@ -137,6 +137,42 @@ def _frombytes(typecode: str, raw: bytes) -> array:
     if _BIG_ENDIAN and arr.itemsize > 1:  # pragma: no cover - little-endian hosts
         arr.byteswap()
     return arr
+
+
+def _sid_rows(data, start: int, end: int, sids: Iterable[int], narrow: bool) -> list[int]:
+    """Ascending rows of the u32 little-endian column ``data[start:end]``
+    (an mmap or bytes) that hold one of ``sids``; C-speed searches only.
+
+    A ``narrow`` column holds only values below 256, so its low-byte plane
+    ``data[start:end:4]`` is the column: one ``translate`` flags the wanted
+    rows and ``find`` walks the flags.  Otherwise each sid's 4-byte pattern
+    is searched for with ``find``; a hit off an element boundary straddles
+    two values and resumes the search at the next boundary.
+    """
+    rows: list[int] = []
+    if narrow:
+        wanted = bytearray(256)
+        for sid in sids:
+            wanted[sid] = 1
+        find = data[start:end:4].translate(wanted).find
+        at = find(1)
+        while at >= 0:
+            rows.append(at)
+            at = find(1, at + 1)
+        return rows
+    find = data.find
+    for sid in sids:
+        pattern = sid.to_bytes(4, "little")
+        at = find(pattern, start, end)
+        while at >= 0:
+            skew = (at - start) & 3
+            if skew:
+                at = find(pattern, at + 4 - skew, end)
+            else:
+                rows.append((at - start) >> 2)
+                at = find(pattern, at + 4, end)
+    rows.sort()
+    return rows
 
 
 class SegmentMeta:
@@ -630,11 +666,12 @@ class ColumnarTraceReader:
         self._col_dirs[i] = out
         return out
 
-    def _col_raw(self, i: int, cid: int, expect: int, itemsize: int) -> bytes:
+    def _col_span(self, i: int, cid: int, expect: int, itemsize: int) -> tuple[int, int]:
+        """``(offset, nbytes)`` of a column holding ``expect`` items."""
         span = self._columns(i).get(cid)
         if span is None:
             if expect == 0:
-                return b""
+                return 0, 0
             raise CodecError(f"{self.path}: segment {i} missing column {cid}")
         pos, nbytes = span
         if nbytes != expect * itemsize:
@@ -642,6 +679,10 @@ class ColumnarTraceReader:
                 f"{self.path}: column {cid} in segment {i} has {nbytes} bytes, "
                 f"want {expect * itemsize}"
             )
+        return span
+
+    def _col_raw(self, i: int, cid: int, expect: int, itemsize: int) -> bytes:
+        pos, nbytes = self._col_span(i, cid, expect, itemsize)
         return bytes(self._data[pos : pos + nbytes])
 
     def _col_f64(self, i: int, cid: int, expect: int) -> array:
@@ -716,6 +757,24 @@ class ColumnarTraceReader:
             self._col_u8(i, COL_KIND, seg.n_trans),
             self._col_u32(i, COL_NODE, seg.n_trans),
         )
+
+    def segment_rows(
+        self, i: int, sids: frozenset[int] | set[int] | None
+    ) -> Sequence[int]:
+        """Ascending rows of segment ``i`` whose sentence id is in ``sids``
+        (``None``: every row).
+
+        A segment whose zone-map sid set lies inside ``sids`` keeps every
+        row; otherwise the wanted sids the zone map holds are searched for
+        in the raw SID column (:func:`_sid_rows`), so no Python code runs
+        per non-matching row.
+        """
+        seg = self.segments[i]
+        present = seg.sids if sids is None else seg.sids & sids
+        if len(present) == len(seg.sids):
+            return range(seg.n_trans)
+        pos, nbytes = self._col_span(i, COL_SID, seg.n_trans, 4)
+        return _sid_rows(self._data, pos, pos + nbytes, present, max(seg.sids) < 256)
 
     # -- iteration ----------------------------------------------------------
     def events(self) -> Iterator[SentenceEvent]:
@@ -835,7 +894,8 @@ class ColumnarTraceReader:
         Segments whose zone map cannot intersect the filter (no sentence-id
         overlap, disjoint time range) are skipped without touching their
         bytes; surviving segments decode only the four transition columns,
-        and sentence objects materialize only for matching rows.
+        select the ``sids`` rows with :meth:`segment_rows`' byte search, and
+        materialize events only for those rows.
         """
         sentences = self.sentences
         activate, deactivate = EventKind.ACTIVATE, EventKind.DEACTIVATE
@@ -850,14 +910,13 @@ class ColumnarTraceReader:
             if sids is not None and not (seg.sids & sids):
                 continue
             times, seg_sids, kinds, nodes = self.segment_transitions(i)
-            lo, hi = 0, len(times)
+            rows = self.segment_rows(i, sids)
+            lo, hi = 0, len(rows)
             if t_min is not None:
-                lo = bisect.bisect_left(times, t_min)
+                lo = bisect.bisect_left(rows, bisect.bisect_left(times, t_min))
             if t_max is not None:
-                hi = bisect.bisect_right(times, t_max)
-            for j in range(lo, hi):
-                if sids is not None and seg_sids[j] not in sids:
-                    continue
+                hi = bisect.bisect_left(rows, bisect.bisect_right(times, t_max))
+            for j in rows[lo:hi]:
                 if want_node is not None and nodes[j] != want_node:
                     continue
                 yield SentenceEvent(

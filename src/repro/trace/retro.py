@@ -35,7 +35,7 @@ from ..core.events import EventKind, SentenceEvent
 from ..core.multiq import MultiQuestionEngine
 from ..core.nouns import Sentence
 from ..core.questions import OrderedQuestion, PerformanceQuestion, QExpr, SentencePattern
-from .scan import filtered_intervals, parallel_intervals, question_sids
+from .scan import filtered_intervals, membership_changes, parallel_intervals, question_sids
 from .store import ALL_NODES
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "question_name",
     "evaluate_questions",
     "evaluate_question_batch",
+    "replay_batch",
     "sentence_intervals",
     "windowed_mappings",
     "windowed_attribution",
@@ -121,37 +122,84 @@ def batch_event_plan(
     end_time: float | None = None,
     node: int | None = None,
 ):
-    """Pick the replay source for a whole question batch at once.
+    """Pick the replay of a whole question batch at once.
 
-    Pushdown fast path: replay only the sentences the questions' patterns
-    can observe (satisfaction cannot depend on any other sentence), as one
-    union sentence-id set for *all* questions, so a columnar reader answers
-    the entire batch in a single zone-map-pruned pass, node filter
-    included.  When the caller leaves ``end_time`` defaulted, the default
-    is the last *replayed* event's time, which a filtered replay would
-    change -- so it comes from the reader's transitions-only bound instead
-    (for a node filter, that node's last transition, found by walking the
-    segments backwards; 0.0 when the node has none).  Other sources keep
-    the plain replay.  Returns ``(events, node_filtered, end)`` where
-    ``events`` is the transition iterable, ``node_filtered`` says the
-    source already applied the ``node`` filter, and ``end`` is the
-    resolved end time (``None`` means "last replayed event's time",
-    resolved by the caller).
+    A columnar reader replays by sentence id: only the sentences the
+    questions' patterns can observe matter (satisfaction cannot depend on
+    any other sentence), as one union sentence-id set for *all* questions,
+    so the entire batch is answered in one zone-map-pruned pass that reads
+    only the rows holding those ids, node filter included, and yields their
+    membership changes (:func:`~repro.trace.scan.membership_changes`); no
+    event is built.  When the caller leaves ``end_time`` defaulted, the
+    default is the last *replayed* transition's time, which a filtered
+    replay would change -- so it comes from the reader's transitions-only
+    bound instead (for a node filter, that node's last transition, found by
+    walking the segments backwards; 0.0 when the node has none).
+
+    Every other source (row reader, in-memory trace, iterable) replays its
+    events.  Returns ``(events, node_filtered, end)``: ``node_filtered``
+    says ``events`` are the columnar membership changes ``(sentence,
+    joined, time)``, ``node`` filter applied; otherwise they are the
+    source's :class:`SentenceEvent`\\ s.  ``end`` is the resolved end time
+    (``None`` means "last replayed event's time", resolved by the caller).
     """
     end = end_time
-    if hasattr(source, "scan_transitions"):
+    if hasattr(source, "segment_rows"):
         # static reachability shrinks the union scan set: a table-dead
         # conjunction can never flip, so its patterns' events need not
         # be replayed at all (answers stay byte-identical; pinned by
         # tests/trace/test_retro_batch.py)
         sids = question_sids(source.sentences, questions, prune_dead=True)
-        if sids is not None:
-            want = ALL_NODES if node is None else node
-            if end is None:
-                last_t = source.last_transition_time(node=want)
-                end = last_t if last_t is not None else 0.0
-            return source.scan_transitions(sids=sids, node=want), True, end
+        want = ALL_NODES if node is None else node
+        if end is None:
+            last_t = source.last_transition_time(node=want)
+            end = last_t if last_t is not None else 0.0
+        return membership_changes(source, sids, want), True, end
     return _iter_events(source), False, end
+
+
+def replay_batch(
+    engine: MultiQuestionEngine,
+    source,
+    questions: Sequence[PerformanceQuestion | QExpr | OrderedQuestion],
+    end_time: float | None = None,
+    node: int | None = None,
+    chunk: int = 0,
+):
+    """Replay the :func:`batch_event_plan` of ``questions`` into ``engine``.
+
+    A generator: it yields after every ``chunk`` membership changes (or,
+    for an event replay, transitions) it fed, never when ``chunk`` is 0,
+    so an asynchronous caller (``repro serve``) can flush streamed
+    intervals between chunks; it returns the end time answers close at.
+    Columnar membership changes go straight to
+    :meth:`~repro.core.multiq.MultiQuestionEngine.membership_change`,
+    which a live SAS feeds too; events go through
+    :meth:`~repro.core.multiq.MultiQuestionEngine.transition`, which
+    counts nesting itself.
+    """
+    events, node_filtered, end = batch_event_plan(source, questions, end_time, node)
+    fed = 0
+    if node_filtered:
+        change = engine.membership_change
+        for sent, joined, t in events:
+            change(sent, joined, t)
+            fed += 1
+            if fed == chunk:
+                fed = 0
+                yield
+        return end
+    last = 0.0
+    for event in events:
+        if node is not None and event.node_id != node:
+            continue
+        last = event.time
+        engine.transition(event.sentence, event.kind is EventKind.ACTIVATE, last)
+        fed += 1
+        if fed == chunk:
+            fed = 0
+            yield
+    return end if end is not None else last
 
 
 def evaluate_question_batch(
@@ -167,37 +215,39 @@ def evaluate_question_batch(
     All questions compile into one shared
     :class:`~repro.core.multiq.MultiQuestionEngine` plan (interned patterns,
     subsumption-pruned matching, per-question dirty bits), and the recorded
-    transitions, stamped with their recorded times, are fed through it
-    once, so watcher satisfied-times accumulate exactly as they did live.
-    ``node`` filters to one recording node's events (a multi-node file
-    replayed whole feeds every node's transitions into one membership set,
-    which is only meaningful if that is also how the live run was wired).
-    Open satisfied intervals are closed at ``end_time`` (default: the last
-    replayed event's time).
+    history, stamped with its recorded times, is replayed through it once
+    (:func:`replay_batch`: by sentence id on a columnar reader), so watcher
+    satisfied-times accumulate exactly as they did live.  ``node`` filters
+    to one recording node's transitions (a multi-node file replayed whole
+    feeds every node's transitions into one membership set, which is only
+    meaningful if that is also how the live run was wired).  Open
+    satisfied intervals are closed at ``end_time`` (default: the last
+    replayed transition's time).
 
     Pass ``shards`` to partition pattern nodes across consistent-hash
-    shards, or a pre-built ``engine`` to reuse one (e.g. the ``repro
-    serve`` session engine with subscriptions already attached).
+    shards, or a pre-built ``engine`` with subscriptions already attached.
+    That engine must be fresh: one that has already seen a membership
+    change would nest this replay into its leftover membership, so it is
+    rejected with ``ValueError``.
 
     Answers are keyed by :func:`question_name`, so one name may denote
     only one question: structurally equal duplicates share an answer, and
     a name shared by two different questions raises ``ValueError``.
     """
+    if engine is not None and engine.membership_changes:
+        raise ValueError(
+            "engine has already replayed membership changes; pass a fresh one"
+        )
     eng = engine if engine is not None else MultiQuestionEngine(shards=shards)
     subs = [(question_name(q), eng.subscribe(q)) for q in questions]
     keys: dict[str, tuple] = {}
     for name, sub in subs:
         if keys.setdefault(name, sub.key) != sub.key:
             raise ValueError(f'question name "{name}" is used for two different questions')
-    events, node_filtered, end = batch_event_plan(source, questions, end_time, node)
-    last = 0.0
-    for event in events:
-        if not node_filtered and node is not None and event.node_id != node:
-            continue
-        last = event.time
-        eng.transition(event.sentence, event.kind is EventKind.ACTIVATE, event.time)
-    if end is None:
-        end = last
+    try:
+        next(replay_batch(eng, source, questions, end_time, node))
+    except StopIteration as done:  # chunk 0: the replay runs to its end
+        end = done.value
     return {
         name: RetroAnswer(
             name=name,

@@ -19,6 +19,11 @@ over every trace source:
   sentences' events (exact, because depth is per-sentence state).  On a
   columnar reader it counts by sentence id over the raw transition
   columns and builds no event objects;
+* :func:`membership_changes` is the question replay's columnar source:
+  the same per-sid depth counting, yielding only the membership changes a
+  question engine acts on.  Every sid-filtered columnar scan reads just
+  the rows :meth:`~repro.trace.columnar.ColumnarTraceReader.segment_rows`
+  finds by searching the raw sentence-id column;
 * :func:`parallel_intervals` fans contiguous segment ranges across the
   sweep pool (:class:`~repro.sweep.runner.SweepRunner`), each worker
   running the serial scan's own loop: it seeds per-sentence depth from its
@@ -36,12 +41,14 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from ..core.events import EventKind, SentenceEvent
 from ..core.nouns import Sentence
 from ..core.questions import OrderedQuestion, PerformanceQuestion, SentencePattern
+from .codec import encode_node
 from .store import ALL_NODES
 
 __all__ = [
     "matching_sids",
     "question_sids",
     "scan_transitions",
+    "membership_changes",
     "filtered_intervals",
     "parallel_intervals",
 ]
@@ -126,9 +133,10 @@ def scan_transitions(
 ) -> Iterator[SentenceEvent]:
     """Filtered transition scan over any trace source.
 
-    Columnar readers prune segments by zone map and decode only the
-    transition columns; every other source (row reader, in-memory trace,
-    bare iterable) replays with the same filters applied eventwise, so the
+    Columnar readers prune segments by zone map, decode only the
+    transition columns and build events only for the rows their sid
+    search finds; every other source (row reader, in-memory trace, bare
+    iterable) replays with the same filters applied eventwise, so the
     yielded stream is identical either way.  ``sids`` filters by sentence
     table id (columnar/row readers only); ``matchers`` by pattern or
     predicate (any source); both may combine.
@@ -272,21 +280,20 @@ def _flatten_segments(
     if not indices:
         return out
     n = len(reader.sentences)
-    keep = [sids is None] * n
-    for sid in sids or ():
-        keep[sid] = True
     depth = [0] * n
     start = [0.0] * n
     for sid, (d, s) in reader.segment_open_intervals(indices[0]).items():
-        if keep[sid]:
+        if sids is None or sid in sids:
             depth[sid] = d
             start[sid] = s
             out[sid] = []
     for idx in indices:
         times, seg_sids, kinds, _nodes = reader.segment_transitions(idx)
-        for t, sid, act in zip(times, seg_sids, kinds):
-            if not keep[sid]:
-                continue
+        if sids is None:
+            rows = zip(times, seg_sids, kinds)
+        else:
+            rows = _select(reader.segment_rows(idx, sids), times, seg_sids, kinds)
+        for t, sid, act in rows:
             d = depth[sid]
             if act:
                 depth[sid] = d + 1
@@ -308,6 +315,51 @@ def _flatten_segments(
             if d:
                 out[sid] += (start[sid], close_at)
     return out
+
+
+def _select(rows: Sequence[int], *columns) -> Iterator[tuple]:
+    """The ``rows`` of ``columns``, zipped (C-level ``map`` indexing)."""
+    return zip(*(map(col.__getitem__, rows) for col in columns))
+
+
+def membership_changes(
+    reader, sids: frozenset[int] | None, node: Any = ALL_NODES
+) -> Iterator[tuple[Sentence, bool, float]]:
+    """``(sentence, joined, time)`` for each membership change of the
+    ``sids`` sentences (``None``: all) in a columnar reader's transitions
+    (``node``'s only, if given), in recorded order.
+
+    Depth counts per sentence id in a list, over only the rows
+    :meth:`~repro.trace.columnar.ColumnarTraceReader.segment_rows` selects
+    in the zone-map-kept segments; only the outermost activation (0 -> 1)
+    and the last deactivation (1 -> 0) are yielded, carrying the reader's
+    table sentences.  This is what
+    :meth:`~repro.core.multiq.MultiQuestionEngine.transition` would pass
+    on from the same transitions, with no event built.
+    """
+    sentences = reader.sentences
+    depth = [0] * len(sentences)
+    want = None if node is ALL_NODES else encode_node(node)
+    for i in reader.prune_segments(sids=sids):
+        if not reader.segments[i].n_trans:
+            continue
+        times, seg_sids, kinds, nodes = reader.segment_transitions(i)
+        rows = reader.segment_rows(i, sids)
+        for t, sid, act, nd in _select(rows, times, seg_sids, kinds, nodes):
+            if want is not None and nd != want:
+                continue
+            d = depth[sid]
+            if act:
+                depth[sid] = d + 1
+                if not d:
+                    yield sentences[sid], True, t
+            elif d == 1:
+                depth[sid] = 0
+                yield sentences[sid], False, t
+            elif d:
+                depth[sid] = d - 1
+            else:
+                raise ValueError(f"deactivate of non-active sentence {sentences[sid]}")
 
 
 def _sentence_keyed(reader, flat_by_sid: dict[int, list[float]]):
@@ -342,7 +394,8 @@ def _scan_segments_task(
     close_at: float | None,
 ) -> dict[int, list[float]]:
     """Sweep-task body: :func:`_flatten_segments` over one segment range."""
-    return _flatten_segments(_cached_reader(path), indices, sids, close_at)
+    wanted = frozenset(sids) if sids is not None else None
+    return _flatten_segments(_cached_reader(path), indices, wanted, close_at)
 
 
 def parallel_intervals(

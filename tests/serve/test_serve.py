@@ -19,6 +19,8 @@ from repro.serve import (
 from repro.trace import open_trace
 from repro.trace.retro import evaluate_questions
 
+from ..core.oracle import naive_answers
+
 
 @pytest.fixture
 def db_trace(tmp_path):
@@ -143,6 +145,90 @@ def test_node_filtered_batch_matches_trace_query(db_trace, capsys):
             want = json.loads(capsys.readouterr().out)["questions"]
             name = spec.display_name()
             assert payload["questions"][name] == want[name], (node, name)
+
+
+@pytest.fixture(scope="module")
+def db_trace_64(tmp_path_factory):
+    """A 40-query db recording in 64-record segments (360 transitions)."""
+    tmp = tmp_path_factory.mktemp("db64")
+    recorded, path = tmp / "db.rtrcx", tmp / "db64.rtrcx"
+    assert main(["trace", "record", "db", "--out", str(recorded),
+                 "--clients", "3", "--queries", "40"]) == 0
+    assert main(["trace", "convert", str(recorded), str(path), "--segment-events", "64"]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("node", [None, 3])  # node 3: the server
+def test_two_client_batch_matches_the_oracle(db_trace_64, node):
+    # an ordered question and a pattern shared by both clients, answered by
+    # one replay of a segmented columnar file; the oracle replays every
+    # recorded event through the naive SAS
+    shared = "{server0 DiskRead}@DB Server"
+    first = [
+        QuestionSpec(patterns=("{Q1 QueryActive}@Database", shared), ordered=True),
+        QuestionSpec(patterns=(shared,)),
+    ]
+    second = [
+        QuestionSpec(patterns=("{? QueryActive}@Database", shared)),
+        QuestionSpec(patterns=(shared,), name="disk"),
+    ]
+    replies = asyncio.run(
+        _serve_batch(TraceSource(db_trace_64, node=node), [first, second], shards=2)
+    )
+    with open_trace(db_trace_64) as reader:
+        assert len(reader.segments) > 4
+        events = list(reader.events())
+    for (payload, divergence), specs in zip(replies, (first, second)):
+        assert divergence == 0  # streamed intervals sum exactly to summary
+        want = naive_answers(events, [build_question(s) for s in specs], node=node)
+        for spec in specs:
+            name = spec.display_name()
+            sat, transitions, at_end, end = want[name]
+            assert payload["questions"][name] == {
+                "satisfied_time": sat,
+                "transitions": transitions,
+                "satisfied_at_end": at_end,
+            }, (node, name)
+            assert payload["_end_time"] == end
+        assert any(payload["questions"][s.display_name()]["transitions"] for s in specs)
+
+
+def test_oversized_subscribe_line_gets_error_then_server_answers(db_trace):
+    # asyncio's StreamReader refuses a line past its 64 KiB limit; the
+    # client gets an error event and EOF, and the batch slot stays open
+    async def scenario():
+        server = ServeServer(TraceSource(db_trace), subscribers=1, once=True)
+        task = asyncio.create_task(server.serve())
+        while server.port == 0 and not task.done():
+            await asyncio.sleep(0.01)
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        await reader.readline()  # hello
+        request = {"questions": [{"patterns": ["{server0 DiskRead}"], "name": ""}]}
+        pad = 70_000 - len(json.dumps(request))
+        request["questions"][0]["name"] = "x" * pad
+        line = json.dumps(request).encode()
+        assert len(line) == 70_000
+        writer.write(line + b"\n")
+        await writer.drain()
+        msg = json.loads(await reader.readline())
+        eof = await reader.read()
+        writer.close()
+        good = await _client_session(
+            "127.0.0.1",
+            server.port,
+            [QuestionSpec(patterns=("{server0 DiskRead}",))],
+            stream=True,
+        )
+        await asyncio.wait_for(task, timeout=10)
+        return msg, eof, good
+
+    msg, eof, (payload, divergence) = asyncio.run(scenario())
+    assert msg == {
+        "event": "error",
+        "message": "Separator is found, but chunk is longer than limit",
+    }
+    assert eof == b""
+    assert divergence == 0 and payload["questions"]["{server0 DiskRead}"]["transitions"] > 0
 
 
 def test_interval_open_at_end_is_streamed_closed_at_end_time(tmp_path):

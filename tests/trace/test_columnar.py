@@ -1,6 +1,11 @@
 """Unit tests for the columnar ``.rtrcx`` backend and the common scan API."""
 
+import random
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EventKind, Noun, SentencePattern, Verb, sentence
 from repro.core.mapping import MappingOrigin
@@ -21,6 +26,7 @@ from repro.trace import (
     trace_stats,
     windowed_mappings,
 )
+from repro.trace.columnar import _sid_rows
 from repro.workloads import random_trace
 
 SUM = Verb("Sum", "HPF")
@@ -201,6 +207,94 @@ class TestScanAPI:
         last = len(r.segments) - 1
         open_at_last = r.segment_open_intervals(last)
         assert open_at_last[sid_a][1] == 1.0  # not 2.0: flattened start survives
+
+
+# ----------------------------------------------------------------------
+# the row search: sid rows found in the raw column bytes
+# ----------------------------------------------------------------------
+#: values whose bytes straddle element boundaries when read unaligned
+STRADDLERS = [0, 5, 255, 256, 0x500, 0x50000, 0x5000000, 0x05050505, 0xFFFFFFFF]
+U32 = st.one_of(
+    st.sampled_from(STRADDLERS), st.integers(0, 300), st.integers(0, 2**32 - 1)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=st.lists(U32, max_size=48),
+    absent=st.lists(U32, max_size=3),
+    pad=st.binary(max_size=7),
+    tail=st.binary(max_size=7),
+    data=st.data(),
+)
+def test_sid_rows_match_a_per_row_loop(values, absent, pad, tail, data):
+    # the column sits at any byte offset of its buffer, as in a segment
+    pool = sorted(set(values) | set(absent))
+    wanted = set(data.draw(st.lists(st.sampled_from(pool), unique=True))) if pool else set()
+    raw = pad + struct.pack(f"<{len(values)}I", *values) + tail
+    start, end = len(pad), len(pad) + 4 * len(values)
+    want = [j for j, v in enumerate(values) if v in wanted]
+    assert _sid_rows(raw, start, end, wanted, narrow=False) == want
+    if all(v < 256 for v in values):
+        small = {sid for sid in wanted if sid < 256}
+        assert _sid_rows(raw, start, end, small, narrow=True) == [
+            j for j, v in enumerate(values) if v in small
+        ]
+
+
+def _sid_file(path, n_sentences, seed=7):
+    """Random nested activity over ``n_sentences`` sentences in 40-record
+    segments, with a metric-only run that leaves one segment no rows."""
+    rng = random.Random(seed)
+    pool = [sentence(SUM, Noun(f"n{k}", "HPF")) for k in range(n_sentences)]
+    depth = {}
+    with ColumnarTraceWriter(path, segment_records=40) as w:
+        for step in range(1600):
+            if step == 800:
+                for k in range(60):
+                    w.metric_sample(step - 1 + k / 100, "cpu_time", "node0", 1.0, "s")
+            k = rng.randrange(n_sentences) if rng.random() < 0.7 else rng.randrange(8)
+            node = rng.randrange(3)
+            d = depth.get((k, node), 0)
+            act = d == 0 or rng.random() < 0.3
+            depth[k, node] = d + 1 if act else d - 1
+            kind = EventKind.ACTIVATE if act else EventKind.DEACTIVATE
+            w.transition(float(step), kind, pool[k], node_id=node)
+    return ColumnarTraceReader(path)
+
+
+@pytest.fixture(scope="module", params=[40, 300], ids=["narrow", "wide"])
+def sid_reader(request, tmp_path_factory):
+    reader = _sid_file(tmp_path_factory.mktemp("rows") / "t.rtrcx", request.param)
+    yield reader
+    reader.close()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_segment_rows_match_a_per_row_loop(sid_reader, data):
+    reader = sid_reader
+    n = len(reader.sentences)
+    i = data.draw(st.integers(0, len(reader.segments) - 1))
+    seg = reader.segments[i]
+    wanted = set(data.draw(st.lists(st.integers(0, n + 5), max_size=12)))
+    cover = data.draw(st.sampled_from(["some", "all", "all but one"]))
+    if cover != "some":  # the wanted set covers the whole segment, or nearly
+        wanted |= seg.sids
+    if cover == "all but one" and seg.sids:
+        wanted.discard(data.draw(st.sampled_from(sorted(seg.sids))))
+    _times, sids, _kinds, _nodes = reader.segment_transitions(i)
+    assert list(reader.segment_rows(i, wanted)) == [
+        j for j, sid in enumerate(sids) if sid in wanted
+    ]
+    assert list(reader.segment_rows(i, None)) == list(range(len(sids)))
+
+
+def test_sid_file_covers_both_searches_and_an_empty_segment(sid_reader):
+    reader = sid_reader
+    assert any(seg.n_trans == 0 for seg in reader.segments)
+    narrow = [max(seg.sids) < 256 for seg in reader.segments if seg.sids]
+    assert all(narrow) if len(reader.sentences) < 256 else not all(narrow)
 
 
 class TestParallelIntervals:

@@ -9,10 +9,13 @@ across random traces, both storage layouts, node filters, and explicit end
 times.
 """
 
+import asyncio
+
 import pytest
 
 from repro.core import (
     EventKind,
+    MultiQuestionEngine,
     Noun,
     OrderedQuestion,
     PerformanceQuestion,
@@ -25,8 +28,10 @@ from repro.core import (
     Trace,
     Verb,
 )
-from repro.trace.columnar import ColumnarTraceWriter, open_trace
+from repro.serve import TraceSource
+from repro.trace.columnar import ColumnarTraceReader, ColumnarTraceWriter, open_trace
 from repro.trace.retro import evaluate_question_batch, evaluate_questions, question_name
+from repro.trace.store import TraceWriter
 from repro.workloads.fuzz import random_trace
 
 from ..core.oracle import naive_answers
@@ -143,11 +148,129 @@ def test_wildcard_question_disables_pushdown_identically(tmp_path):
 
 def test_reused_engine_rejected_after_history():
     # a caller-provided engine is only valid for one replay: feeding a
-    # second trace would double-count membership
+    # second trace would nest its activations into the first's membership
     trace = random_trace(1, events=50, nodes=1, sentences=6)
     qs = questions_for(trace)
-    answers = evaluate_question_batch(trace, qs)
+    engine = MultiQuestionEngine()
+    answers = evaluate_question_batch(trace, qs, engine=engine)
     assert answers["conj"].end_time == answers["ord"].end_time
+    assert_identical(answers, naive_answers(trace.events(), qs))
+    with pytest.raises(ValueError, match="fresh"):
+        evaluate_question_batch(trace, qs, engine=engine)
+
+
+def write_columnar(path, events, segment_records=64):
+    writer = ColumnarTraceWriter(str(path), segment_records=segment_records)
+    writer.record_trace(events)
+    writer.close()
+    return str(path)
+
+
+async def _no_flush():
+    pass
+
+
+def trace_source_answers(path, questions, node=None):
+    """``repro serve``'s replay of one batch, answered like the oracle."""
+    source = TraceSource(path, node=node)
+    engine = MultiQuestionEngine()
+    for q in questions:
+        engine.subscribe(q)
+    try:
+        end = asyncio.run(source.run_batch(engine, questions, _no_flush))
+    finally:
+        source.close()
+    return {name: (*answer, end) for name, answer in engine.answers(end).items()}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_columnar_replay_builds_no_events(tmp_path, monkeypatch, seed):
+    # a columnar question replays membership changes from the sid rows:
+    # no event is built, no per-row scan runs, the engine counts no nesting
+    trace = random_trace(seed, events=300, nodes=2, sentences=14)
+    qs = questions_for(trace) + [QAtom(SentencePattern("?", ()))]
+    events = with_quiet_tail(trace)
+    path = write_columnar(tmp_path / "t.rtrcx", events)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the columnar replay went through events")
+
+    monkeypatch.setattr(ColumnarTraceReader, "events", forbidden)
+    monkeypatch.setattr(ColumnarTraceReader, "scan_transitions", forbidden)
+    monkeypatch.setattr(MultiQuestionEngine, "transition", forbidden)
+    with open_trace(path) as reader:
+        for kwargs in ({}, {"node": 0}, {"node": 1, "end_time": 4.0}):
+            assert_identical(
+                evaluate_question_batch(reader, qs, **kwargs),
+                naive_answers(events, qs, **kwargs),
+            )
+    for node in (None, 0):
+        assert trace_source_answers(path, qs, node=node) == naive_answers(
+            events, qs, node=node
+        )
+
+
+def test_columnar_deactivate_of_non_active_sentence_raises(tmp_path):
+    # a flipped KIND byte turns the first activation into a deactivation
+    # at depth 0: the sid replay reports it as the engine's transition()
+    # does for an event replay
+    from repro.trace.columnar import COL_KIND
+
+    trace = random_trace(2, events=40, nodes=1, sentences=4)
+    path = tmp_path / "t.rtrcx"
+    write_columnar(path, trace.events())
+    with open_trace(str(path)) as reader:
+        pos, _nbytes = reader._columns(0)[COL_KIND]
+    blob = bytearray(path.read_bytes())
+    assert blob[pos] == 1
+    blob[pos] = 0
+    path.write_bytes(bytes(blob))
+    with open_trace(str(path)) as reader:
+        with pytest.raises(ValueError, match="deactivate of non-active sentence"):
+            evaluate_question_batch(reader, questions_for(trace))
+
+
+def nested_tail_events():
+    """A trace whose last transition is a nested deactivation on node 0:
+    it changes no membership, yet the default end time is its time."""
+    a = Sentence(Verb("Run", "L1"), (Noun("A", "L1"),))
+    b = Sentence(Verb("Run", "L1"), (Noun("B", "L1"),))
+    act, deact = EventKind.ACTIVATE, EventKind.DEACTIVATE
+    return [
+        SentenceEvent(1.0, act, a, 0),
+        SentenceEvent(1.5, act, b, 1),
+        SentenceEvent(2.0, act, a, 0),
+        SentenceEvent(3.0, act, b, 0),
+        SentenceEvent(4.0, deact, b, 0),
+        SentenceEvent(4.5, deact, b, 1),
+        SentenceEvent(6.0, deact, a, 0),
+    ]
+
+
+def test_default_end_is_the_last_transition_not_the_last_change(tmp_path):
+    events = nested_tail_events()
+    pa, pb = SentencePattern("Run", ("A",)), SentencePattern("Run", ("B",))
+    qs = [
+        PerformanceQuestion("a", (pa,)),
+        PerformanceQuestion("b", (pb,)),
+        OrderedQuestion("a_then_b", (pa, pb)),
+        QOr((QAtom(pb), QNot(QAtom(pa)))),
+    ]
+    memory = Trace()
+    for e in events:
+        memory.append(e)
+    row = tmp_path / "t.rtrc"
+    with TraceWriter(row) as writer:
+        writer.record_trace(events)
+    columnar = write_columnar(tmp_path / "t.rtrcx", events, segment_records=2)
+    for node in (None, 0, 1):
+        want = naive_answers(events, qs, node=node)
+        assert want["a"][3] == (6.0 if node != 1 else 4.5)
+        assert_identical(evaluate_question_batch(memory, qs, node=node), want)
+        for path in (row, columnar):
+            with open_trace(str(path)) as reader:
+                assert_identical(evaluate_question_batch(reader, qs, node=node), want)
+        assert trace_source_answers(columnar, qs, node=node) == want
 
 
 def test_one_name_for_two_questions_is_rejected():
