@@ -36,6 +36,7 @@ from ..cmfortran import (
     REDUCE_FUNCS,
     REDUCE_IDENTITY,
 )
+from ..core.nouns import Sentence
 from .arrays import ParallelArray
 from .comm import (
     NodeComm,
@@ -92,8 +93,19 @@ class NodeWorker:
         self.stats = _OpStats()
         self._tag_counter = 0
         self._pending_cost = 0.0
+        # notification sentences are built once per node: every notification
+        # of one sentence then passes the same object, whose cached hash and
+        # identity check serve the notifier, the SAS, the question engine
+        # and a trace recorder alike
         self._msg_sentence = processor_sends(node_id)
         self._p2p_sentence = cmrts_activity("PointToPoint", node_id)
+        self._arg_sentence = cmrts_activity("ArgumentProcessing", node_id)
+        self._cleanup_sentence = cmrts_activity("Cleanup", node_id)
+        self._reduction_sentence = cmrts_activity("Reduction", node_id)
+        # id(block) -> (block, statement sentences, (site, sentence) pairs),
+        # drawn from a pool that holds one object per sentence value
+        self._block_sentences: dict[int, tuple] = {}
+        self._sentence_pool: dict[Sentence, Sentence] = {}
         self.comm.on_send.append(self._on_send)
         self.comm.on_send_done.append(self._on_send_done)
 
@@ -133,6 +145,23 @@ class NodeWorker:
         self._probe("cmrts.p2p", "exit", dst=dst, tag=tag, bytes=size)
         self._notify("msg", self._msg_sentence, False)
         self._notify("cmrts", self._p2p_sentence, False)
+
+    def _sentences_of(self, block: NodeCodeBlock) -> tuple:
+        """``block``'s statement and array sentences, built on its first
+        execution on this node (the cached entry keeps ``block`` alive, so
+        its id is not reused); blocks sharing a sentence share its object."""
+        cached = self._block_sentences.get(id(block))
+        if cached is None:
+            source = self.runtime.program.source_file
+            pooled = self._sentence_pool.setdefault
+            stmts = [line_executes(line, source) for line in block.lines]
+            arrays = [array_op(block_verb_for_array(block, a), a) for a in block.arrays_used]
+            cached = self._block_sentences[id(block)] = (
+                block,
+                [pooled(s, s) for s in stmts],
+                [(f"array.{a}", pooled(s, s)) for a, s in zip(block.arrays_used, arrays)],
+            )
+        return cached[1], cached[2]
 
     def _tag(self, stem: str) -> str:
         self._tag_counter += 1
@@ -177,45 +206,37 @@ class NodeWorker:
         self._probe("cmrts.block", "entry", **ctx)
 
         # SAS: statement + array sentences become active (Figure 5's state)
-        stmt_sentences = [
-            line_executes(line, self.runtime.program.source_file) for line in block.lines
-        ]
-        array_sentences = [
-            (name, array_op(block_verb_for_array(block, name), name))
-            for name in block.arrays_used
-        ]
+        stmt_sentences, array_sentences = self._sentences_of(block)
         for sent in stmt_sentences:
             self._notify("stmt", sent, True)
-        for name, sent in array_sentences:
-            self._notify(f"array.{name}", sent, True)
+        for site, sent in array_sentences:
+            self._notify(site, sent, True)
 
         # argument processing: unpack the broadcast (time scales with size)
-        arg_sentence = cmrts_activity("ArgumentProcessing", self.node_id)
         self._probe("cmrts.argument_processing", "entry", bytes=arg_bytes, **ctx)
-        self._notify("cmrts", arg_sentence, True)
+        self._notify("cmrts", self._arg_sentence, True)
         yield from self._flush_cost()
         yield from self.node.busy(
             cfg.arg_fixed_time + arg_bytes * cfg.arg_byte_time, "argument_processing"
         )
-        self._notify("cmrts", arg_sentence, False)
+        self._notify("cmrts", self._arg_sentence, False)
         self._probe("cmrts.argument_processing", "exit", bytes=arg_bytes, **ctx)
 
         # vector-unit cleanup on context switch
         if self.node.vu_dirty:
-            cleanup_sentence = cmrts_activity("Cleanup", self.node_id)
             self._probe("cmrts.cleanup", "entry", **ctx)
-            self._notify("cmrts", cleanup_sentence, True)
+            self._notify("cmrts", self._cleanup_sentence, True)
             yield from self._flush_cost()
             yield from self.node.cleanup_vector_units(cfg.cleanup_time)
-            self._notify("cmrts", cleanup_sentence, False)
+            self._notify("cmrts", self._cleanup_sentence, False)
             self._probe("cmrts.cleanup", "exit", **ctx)
 
         self.temps.clear()
         for op in block.ops:
             yield from self._execute_op(op, block, scalars)
 
-        for name, sent in reversed(array_sentences):
-            self._notify(f"array.{name}", sent, False)
+        for site, sent in reversed(array_sentences):
+            self._notify(site, sent, False)
         for sent in reversed(stmt_sentences):
             self._notify("stmt", sent, False)
         self._probe("cmrts.block", "exit", **ctx)
@@ -393,8 +414,7 @@ class NodeWorker:
             float(REDUCE_FUNCS[op.verb](local)) if local.size else REDUCE_IDENTITY[op.verb]
         )
         yield from self.node.compute(max(1, local.size))
-        reduction_sentence = cmrts_activity("Reduction", me)
-        self._notify("cmrts", reduction_sentence, True)
+        self._notify("cmrts", self._reduction_sentence, True)
         total = yield from tree_reduce_to_zero(
             self.comm,
             self.runtime.machine.num_nodes,
@@ -402,7 +422,7 @@ class NodeWorker:
             lambda a, b: combine(op.verb, a, b),
             self._tag(f"reduce.{op.slot}"),
         )
-        self._notify("cmrts", reduction_sentence, False)
+        self._notify("cmrts", self._reduction_sentence, False)
         if me == 0:
             yield from self.comm.send_to_cp("reduce_result", (op.slot, total), 16)
         self.stats.reduces += 1

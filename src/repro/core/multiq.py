@@ -494,6 +494,12 @@ class MultiQuestionEngine:
     def nodes(self) -> Sequence[PatternNode]:
         return tuple(self._nodes)
 
+    @property
+    def fresh(self) -> bool:
+        """True while the engine has no member and no history: nothing
+        seeded, attached or replayed into it yet."""
+        return not (self._active or self._depth or self.membership_changes)
+
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------

@@ -251,13 +251,13 @@ class ActiveSentenceSet:
         to pass to :meth:`detach_recorder`.
         """
         node_id = self.node_id
+        # bound once: an enum member lookup costs more than the rest of a
+        # buffered recorder's call
+        activate, deactivate = EventKind.ACTIVATE, EventKind.DEACTIVATE
 
         def hook(sent: Sentence, became_active: bool, now: float) -> None:
             recorder.transition(
-                now,
-                EventKind.ACTIVATE if became_active else EventKind.DEACTIVATE,
-                sent,
-                node_id,
+                now, activate if became_active else deactivate, sent, node_id
             )
 
         self.on_transition.append(hook)

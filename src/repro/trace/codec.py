@@ -238,16 +238,19 @@ class StringTable:
         self._ids: dict[str, int] = {}
         self.strings: list[str] = []
 
-    def intern(self, text: str, buf: bytearray) -> int:
+    def intern(self, text: str, buf: bytearray | None = None) -> int:
+        """Id of ``text``; a new string's ``DEF_STR`` goes to ``buf``
+        (``None``: the table alone, for writers that keep it in a footer)."""
         sid = self._ids.get(text)
         if sid is None:
             sid = len(self.strings)
             self._ids[text] = sid
             self.strings.append(text)
-            raw = text.encode("utf-8")
-            append_uvarint(buf, TAG_DEF_STR)
-            append_uvarint(buf, len(raw))
-            buf += raw
+            if buf is not None:
+                raw = text.encode("utf-8")
+                append_uvarint(buf, TAG_DEF_STR)
+                append_uvarint(buf, len(raw))
+                buf += raw
         return sid
 
     def encode_table(self, buf: bytearray) -> None:
@@ -276,8 +279,11 @@ class SentenceTable:
         self._strings = strings
         self._ids: dict[Sentence, int] = {}
         self.sentences: list[Sentence] = []
+        self._fields: list[list[int]] = []  # string ids, kept for the table
 
-    def intern(self, sent: Sentence, buf: bytearray) -> int:
+    def intern(self, sent: Sentence, buf: bytearray | None = None) -> int:
+        """Id of ``sent``, interning its strings first; a new sentence's
+        ``DEF_STR``/``DEF_SENT`` records go to ``buf`` (``None``: none)."""
         sid = self._ids.get(sent)
         if sid is None:
             sid = len(self.sentences)
@@ -285,11 +291,13 @@ class SentenceTable:
             self.sentences.append(sent)
             # string interning first, so DEF_STRs precede the DEF_SENT
             fields = self._field_ids(sent, buf)
-            append_uvarint(buf, TAG_DEF_SENT)
-            self._encode_fields(fields, buf)
+            self._fields.append(fields)
+            if buf is not None:
+                append_uvarint(buf, TAG_DEF_SENT)
+                self._encode_fields(fields, buf)
         return sid
 
-    def _field_ids(self, sent: Sentence, buf: bytearray) -> list[int]:
+    def _field_ids(self, sent: Sentence, buf: bytearray | None) -> list[int]:
         intern = self._strings.intern
         fields = [intern(sent.verb.abstraction, buf), intern(sent.verb.name, buf)]
         for noun in sent.nouns:
@@ -307,9 +315,8 @@ class SentenceTable:
 
     def encode_table(self, buf: bytearray) -> None:
         append_uvarint(buf, len(self.sentences))
-        scratch = bytearray()  # strings already interned; discard DEF_STRs
-        for sent in self.sentences:
-            self._encode_fields(self._field_ids(sent, scratch), buf)
+        for fields in self._fields:
+            self._encode_fields(fields, buf)
 
     @staticmethod
     def skip_fields(data, pos: int) -> int:

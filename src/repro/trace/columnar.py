@@ -49,6 +49,7 @@ import mmap
 import struct
 import sys
 from array import array
+from itertools import compress
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -116,6 +117,13 @@ COL_PDST = 12  # u32 mapping destination sentence ids
 COL_PORG = 13  # u8 mapping origin codes
 
 REC_TRANS, REC_METRIC, REC_MAP = 0, 1, 2
+
+#: the writer's buffered record kinds: a transition's activate flag (0/1,
+#: already its KIND column byte), then a metric sample and a mapping
+_K_METRIC, _K_MAP = 2, 3
+_ORDER_OF = bytes([REC_TRANS, REC_TRANS, REC_METRIC, REC_MAP]) + bytes(252)
+_IS_TRANS = bytes([1, 1]) + bytes(254)
+_ACTIVATE = EventKind.ACTIVATE
 
 _U32 = "I" if array("I").itemsize == 4 else "L"
 if array(_U32).itemsize != 4:  # pragma: no cover - no such CPython platform
@@ -232,6 +240,21 @@ class ColumnarTraceWriter:
     map, and the next segment opens with a full SAS snapshot -- the
     columnar analogue of ``snapshot_every`` (it bounds both seek replay
     and the granularity of segment pruning/parallel scans).
+
+    Recording runs at the speed of the run it records: a record call only
+    checks that the writer is open and appends to the open segment's
+    buffers -- a kind ``bytearray``, a time ``array('d')``, a list of
+    sentences (or metric and mapping payloads) and a list of node ids, so
+    a transition creates no GC-tracked object.  When ``segment_records``
+    records are buffered, :meth:`_flush_segment` encodes them in one pass.
+
+    Records are therefore validated at that flush, with the messages a
+    per-call check would give ("trace time went backwards", "deactivate
+    without activate", "node id ... out of u32 range"): the error is raised
+    by the call that fills the segment, or by :meth:`close`.  A writer
+    whose flush raised is closed without a footer, so its file never opens
+    as a complete trace.  The SAS and the simulator never produce such
+    records.
     """
 
     def __init__(
@@ -252,18 +275,14 @@ class ColumnarTraceWriter:
         header += raw
         self._fh.write(header)
         self._offset = len(header)
-        self._scratch = bytearray()  # interning sink; DEF_* records unused here
         self._strings = StringTable()
         self._sents = SentenceTable(self._strings)
         self._levels: dict[str, int] = {}
         self._sent_level: list[int] = []  # sentence id -> level id
+        self._node_fields: dict[Any, int] = {}  # node id -> encode_node()
         self._last_time = 0.0
-        self._timed = 0
         self._t0 = 0.0
-        self._t1 = 0.0
-        self.transitions = 0
-        self.metric_samples_count = 0
-        self.mappings_count = 0
+        self._flushed = [0, 0, 0]  # transitions, metric samples, mappings
         # live SAS state mirrored for segment snapshots: node -> sid -> stack
         self._state: dict[Any, dict[int, list[float]]] = {}
         # flattened-interval bookkeeping: cross-node depth per sentence and
@@ -277,7 +296,7 @@ class ColumnarTraceWriter:
         self._segments: list[SegmentMeta] = []
         self._attached: list[tuple[Any, Any]] = []
         self._closed = False
-        self._open_segment()
+        self._new_buffers()
 
     # -- recorder protocol ------------------------------------------------
     def transition(
@@ -287,61 +306,20 @@ class ColumnarTraceWriter:
         sentence: Sentence,
         node_id: int | None = None,
     ) -> None:
-        self._check_open()
-        self._maybe_roll()
-        sid = self._intern_sentence(sentence)
-        activate = kind is EventKind.ACTIVATE
-        per = self._state.setdefault(node_id, {})
-        if activate:
-            per.setdefault(sid, []).append(time)
-            d = self._flat_depth.get(sid, 0)
-            if d == 0:
-                self._flat_start[sid] = time
-            self._flat_depth[sid] = d + 1
-        else:
-            stack = per.get(sid)
-            if not stack:
-                raise ValueError(
-                    f"deactivate without activate for {sentence} on node {node_id}"
-                )
-            stack.pop()
-            if not stack:
-                del per[sid]
-            d = self._flat_depth[sid] - 1
-            if d:
-                self._flat_depth[sid] = d
-            else:
-                del self._flat_depth[sid]
-                del self._flat_start[sid]
-        self._clock(time)
-        node_field = encode_node(node_id)
-        if node_field >= _ID_LIMIT:
-            raise CodecError(f"node id {node_id} out of u32 range")
-        self._order.append(REC_TRANS)
-        self._trans_t.append(time)
-        self._trans_sid.append(sid)
-        self._trans_kind.append(1 if activate else 0)
-        self._trans_node.append(node_field)
-        self._seg_sids.add(sid)
-        self._seg_levels |= 1 << self._sent_level[sid]
-        self.transitions += 1
+        if self._closed:
+            raise self._closed_error()
+        self._times.append(time)  # first: the one append that can fail
+        kinds = self._kinds
+        kinds.append(kind is _ACTIVATE)
+        self._items.append(sentence)
+        self._nodes.append(node_id)
+        if len(kinds) >= self.segment_records:
+            self._flush_segment()
 
     def metric_sample(
         self, time: float, name: str, focus: str = "", value: float = 0.0, units: str = ""
     ) -> None:
-        self._check_open()
-        self._maybe_roll()
-        nsid = self._strings.intern(name, self._scratch)
-        fsid = self._strings.intern(focus, self._scratch)
-        usid = self._strings.intern(units, self._scratch)
-        self._clock(time)
-        self._order.append(REC_METRIC)
-        self._met_t.append(time)
-        self._met_name.append(nsid)
-        self._met_focus.append(fsid)
-        self._met_units.append(usid)
-        self._met_val.append(value)
-        self.metric_samples_count += 1
+        self._buffer(_K_METRIC, time, (name, focus, value, units))
 
     def mapping(
         self,
@@ -350,20 +328,20 @@ class ColumnarTraceWriter:
         destination: Sentence,
         origin: MappingOrigin = MappingOrigin.DYNAMIC,
     ) -> None:
-        self._check_open()
-        self._maybe_roll()
-        src = self._intern_sentence(source)
-        dst = self._intern_sentence(destination)
-        self._clock(time)
-        self._order.append(REC_MAP)
-        self._map_t.append(time)
-        self._map_src.append(src)
-        self._map_dst.append(dst)
-        self._map_org.append(ORIGIN_CODES[origin])
-        self._seg_sids.add(src)
-        self._seg_sids.add(dst)
-        self._seg_levels |= (1 << self._sent_level[src]) | (1 << self._sent_level[dst])
-        self.mappings_count += 1
+        self._buffer(_K_MAP, time, (source, destination, origin))
+
+    @property
+    def transitions(self) -> int:
+        kinds = self._kinds
+        return self._flushed[0] + len(kinds) - kinds.count(_K_METRIC) - kinds.count(_K_MAP)
+
+    @property
+    def metric_samples_count(self) -> int:
+        return self._flushed[1] + self._kinds.count(_K_METRIC)
+
+    @property
+    def mappings_count(self) -> int:
+        return self._flushed[2] + self._kinds.count(_K_MAP)
 
     # -- conveniences -----------------------------------------------------
     def attach_sas(self, sas) -> Any:
@@ -378,52 +356,35 @@ class ColumnarTraceWriter:
             self.transition(event.time, event.kind, event.sentence, event.node_id)
 
     # -- internals --------------------------------------------------------
-    def _check_open(self) -> None:
+    def _closed_error(self) -> ValueError:
+        return ValueError(f"ColumnarTraceWriter({self.path}) is closed")
+
+    def _buffer(self, code: int, time: float, payload: tuple) -> None:
         if self._closed:
-            raise ValueError(f"ColumnarTraceWriter({self.path}) is closed")
+            raise self._closed_error()
+        self._times.append(time)
+        self._kinds.append(code)
+        self._items.append(payload)
+        self._nodes.append(None)
+        if len(self._kinds) >= self.segment_records:
+            self._flush_segment()
+
+    def _new_buffers(self) -> None:
+        # one entry per buffered record: its kind (a transition's activate
+        # flag, _K_METRIC or _K_MAP), time, sentence or payload, and node id
+        self._kinds = bytearray()
+        self._times = array("d")
+        self._items: list = []
+        self._nodes: list = []
 
     def _intern_sentence(self, sentence: Sentence) -> int:
-        sid = self._sents.intern(sentence, self._scratch)
+        sid = self._sents.intern(sentence)
         if sid == len(self._sent_level):
             level = sentence.abstraction
-            lid = self._levels.setdefault(level, len(self._levels))
-            self._sent_level.append(lid)
-        if sid >= _ID_LIMIT:  # pragma: no cover - 4e9 distinct sentences
-            raise CodecError("sentence id out of u32 range")
+            self._sent_level.append(self._levels.setdefault(level, len(self._levels)))
+            if sid >= _ID_LIMIT:  # pragma: no cover - 4e9 distinct sentences
+                raise CodecError("sentence id out of u32 range")
         return sid
-
-    def _clock(self, time: float) -> None:
-        if self._timed:
-            if time < self._last_time:
-                raise ValueError(
-                    f"trace time went backwards: {time} < {self._last_time}"
-                )
-        else:
-            self._t0 = time
-            self._seg_t_min = time
-        self._t1 = self._last_time = time
-        self._timed += 1
-
-    def _open_segment(self) -> None:
-        self._order = bytearray()
-        self._trans_t = array("d")
-        self._trans_sid = array(_U32)
-        self._trans_kind = bytearray()
-        self._trans_node = array(_U32)
-        self._met_t = array("d")
-        self._met_name = array(_U32)
-        self._met_focus = array(_U32)
-        self._met_units = array(_U32)
-        self._met_val = array("d")
-        self._map_t = array("d")
-        self._map_src = array(_U32)
-        self._map_dst = array(_U32)
-        self._map_org = bytearray()
-        self._seg_sids: set[int] = set()
-        self._seg_levels = 0
-        self._seg_t_min = self._last_time
-        # state before the segment's first record, for the embedded snapshot
-        self._seg_snapshot = self._encode_snapshot()
 
     def _encode_snapshot(self) -> bytes:
         buf = bytearray()
@@ -448,33 +409,124 @@ class ColumnarTraceWriter:
             buf += _F64.pack(self._flat_start[sid])
         return bytes(buf)
 
-    def _maybe_roll(self) -> None:
-        if len(self._order) >= self.segment_records:
-            self._flush_segment()
-            self._open_segment()
-
     def _flush_segment(self) -> None:
-        if not self._order:
+        """Encode the buffered records as one segment (none: no-op); a
+        record the per-call checks would reject closes the writer."""
+        if not self._kinds:
             return
-        buf = bytearray()
-        append_uvarint(buf, len(self._seg_snapshot))
-        buf += self._seg_snapshot
+        try:
+            self._encode_segment()
+        except BaseException:
+            self._abandon()
+            raise
+        self._new_buffers()
+
+    def _encode_segment(self) -> None:
+        kinds, times, items, nodes = self._kinds, self._times, self._items, self._nodes
+        snapshot = self._encode_snapshot()  # state before the first record
+        if self._segments:
+            t_min = last = self._last_time
+        else:  # the first record's time is not checked
+            t_min = last = self._t0 = times[0]
+        only_trans = not (kinds.count(_K_METRIC) or kinds.count(_K_MAP))
+        if only_trans:
+            ids = self._sentence_ids(items)
+            metric_rows: list[tuple] = []
+            map_rows: list[tuple] = []
+            trans_nodes = nodes
+        else:
+            ids, metric_rows, map_rows = self._record_ids(kinds, times, items)
+            is_trans = kinds.translate(_IS_TRANS)
+            trans_nodes = list(compress(nodes, is_trans))
+        # a transition's node gets its activation-stack dict at its first
+        # record ever (the snapshot lists nodes in that order); a node id the
+        # u32 column cannot hold fails at its first record, after that
+        # record's other checks (the loop stops just past it)
+        state = self._state
+        fields = self._node_fields
+        stop, bad_node = len(kinds), None
+        for node in dict.fromkeys(trans_nodes):
+            if node not in state:
+                state[node] = {}
+                field = fields[node] = encode_node(node)
+                if field >= _ID_LIMIT:
+                    at = nodes.index(node)
+                    if at < stop:
+                        stop, bad_node = at + 1, node
+        depth = self._flat_depth
+        start = self._flat_start
+        for k, t, sid, node in zip(kinds[:stop], times, ids, nodes):
+            if k == 1:  # activate
+                per = state[node]
+                stack = per.get(sid)
+                if stack is None:
+                    per[sid] = [t]
+                else:
+                    stack.append(t)
+                d = depth.get(sid)
+                if d is None:
+                    depth[sid] = 1
+                    start[sid] = t
+                else:
+                    depth[sid] = d + 1
+            elif not k:  # deactivate
+                per = state[node]
+                stack = per.get(sid)
+                if stack is None:
+                    sentence = self._sents.sentences[sid]
+                    raise ValueError(
+                        f"deactivate without activate for {sentence} on node {node}"
+                    )
+                if len(stack) == 1:
+                    del per[sid]
+                else:
+                    stack.pop()
+                d = depth[sid]
+                if d == 1:
+                    del depth[sid]
+                    del start[sid]
+                else:
+                    depth[sid] = d - 1
+            if t < last:
+                raise ValueError(f"trace time went backwards: {t} < {last}")
+            last = t
+        if bad_node is not None:
+            raise CodecError(f"node id {bad_node} out of u32 range")
+        self._last_time = last
+        if only_trans:
+            sid_col, trans_t, trans_kind = ids, times, kinds
+        else:
+            sid_col = list(compress(ids, is_trans))
+            trans_t = array("d", compress(times, is_trans))
+            trans_kind = bytes(compress(kinds, is_trans))
+        n_trans = len(sid_col)
+        mt, mname, mfocus, munits, mval = zip(*metric_rows) if metric_rows else ((),) * 5
+        pt, psrc, pdst, porg = zip(*map_rows) if map_rows else ((),) * 4
+        seg_sids = set(sid_col)
+        seg_sids.update(psrc, pdst)
+        level_of = self._sent_level
+        levels = 0
+        for sid in seg_sids:
+            levels |= 1 << level_of[sid]
         cols = [
-            (COL_ORDER, bytes(self._order)),
-            (COL_T, _tobytes(self._trans_t)),
-            (COL_SID, _tobytes(self._trans_sid)),
-            (COL_KIND, bytes(self._trans_kind)),
-            (COL_NODE, _tobytes(self._trans_node)),
-            (COL_MT, _tobytes(self._met_t)),
-            (COL_MNAME, _tobytes(self._met_name)),
-            (COL_MFOCUS, _tobytes(self._met_focus)),
-            (COL_MUNITS, _tobytes(self._met_units)),
-            (COL_MVAL, _tobytes(self._met_val)),
-            (COL_PT, _tobytes(self._map_t)),
-            (COL_PSRC, _tobytes(self._map_src)),
-            (COL_PDST, _tobytes(self._map_dst)),
-            (COL_PORG, bytes(self._map_org)),
+            (COL_ORDER, bytes(n_trans) if only_trans else kinds.translate(_ORDER_OF)),
+            (COL_T, _tobytes(trans_t)),
+            (COL_SID, _tobytes(array(_U32, sid_col))),
+            (COL_KIND, bytes(trans_kind)),
+            (COL_NODE, _tobytes(array(_U32, map(fields.__getitem__, trans_nodes)))),
+            (COL_MT, _tobytes(array("d", mt))),
+            (COL_MNAME, _tobytes(array(_U32, mname))),
+            (COL_MFOCUS, _tobytes(array(_U32, mfocus))),
+            (COL_MUNITS, _tobytes(array(_U32, munits))),
+            (COL_MVAL, _tobytes(array("d", mval))),
+            (COL_PT, _tobytes(array("d", pt))),
+            (COL_PSRC, _tobytes(array(_U32, psrc))),
+            (COL_PDST, _tobytes(array(_U32, pdst))),
+            (COL_PORG, bytes(porg)),
         ]
+        buf = bytearray()
+        append_uvarint(buf, len(snapshot))
+        buf += snapshot
         cols = [(cid, raw) for cid, raw in cols if raw]
         append_uvarint(buf, len(cols))
         for cid, raw in cols:
@@ -485,18 +537,61 @@ class ColumnarTraceWriter:
             SegmentMeta(
                 offset=self._offset,
                 nbytes=len(buf),
-                n_trans=len(self._trans_t),
-                n_metric=len(self._met_t),
-                n_map=len(self._map_t),
-                t_min=self._seg_t_min,
-                t_max=self._last_time,
-                trans_t_max=self._trans_t[-1] if self._trans_t else self._seg_t_min,
-                level_mask=self._seg_levels,
-                sids=frozenset(self._seg_sids),
+                n_trans=n_trans,
+                n_metric=len(mt),
+                n_map=len(pt),
+                t_min=t_min,
+                t_max=last,
+                trans_t_max=trans_t[-1] if n_trans else t_min,
+                level_mask=levels,
+                sids=frozenset(seg_sids),
             )
         )
+        flushed = self._flushed
+        flushed[0] += n_trans
+        flushed[1] += len(mt)
+        flushed[2] += len(pt)
         self._fh.write(buf)
         self._offset += len(buf)
+
+    def _sentence_ids(self, sentences: list) -> list[int]:
+        """Ids of ``sentences``, new ones interned in first-use order; each
+        distinct object is hashed once, the rest is mapped at C speed."""
+        distinct = dict(zip(map(id, sentences), sentences))
+        intern = self._intern_sentence
+        by_object = {key: intern(sent) for key, sent in distinct.items()}
+        return list(map(by_object.__getitem__, map(id, sentences)))
+
+    def _record_ids(self, kinds: bytearray, times: array, items: list) -> tuple:
+        """Intern a mixed segment's records in record order: the sentence id
+        of each record (``None`` for metric samples and mappings), and the
+        metric and mapping rows."""
+        intern = self._intern_sentence
+        strings = self._strings.intern
+        ids: list = []
+        metric_rows: list[tuple] = []
+        map_rows: list[tuple] = []
+        for k, t, item in zip(kinds, times, items):
+            if k < _K_METRIC:
+                ids.append(intern(item))
+                continue
+            ids.append(None)
+            if k == _K_METRIC:
+                name, focus, value, units = item
+                metric_rows.append((t, strings(name), strings(focus), strings(units), value))
+            else:
+                src, dst, origin = item
+                src_id = intern(src)
+                map_rows.append((t, src_id, intern(dst), ORIGIN_CODES[origin]))
+        return ids, metric_rows, map_rows
+
+    def _abandon(self) -> None:
+        """Close without a footer: the file never opens as a trace."""
+        self._closed = True
+        for sas, hook in self._attached:
+            sas.detach_recorder(hook)
+        self._attached.clear()
+        self._fh.close()
 
     def close(self) -> None:
         """Flush the open segment, write footer + trailer (idempotent)."""
@@ -511,8 +606,7 @@ class ColumnarTraceWriter:
         self._sents.encode_table(footer)
         append_uvarint(footer, len(self._levels))
         for name in self._levels:  # insertion order == level id order
-            sid = self._strings.intern(name, self._scratch)
-            append_uvarint(footer, sid)
+            append_uvarint(footer, self._strings.intern(name))
         append_uvarint(footer, len(self._segments))
         for seg in self._segments:
             append_uvarint(footer, seg.offset)
@@ -529,11 +623,10 @@ class ColumnarTraceWriter:
             for sid in sorted(seg.sids):
                 append_uvarint(footer, sid - prev)
                 prev = sid
-        append_uvarint(footer, self.transitions)
-        append_uvarint(footer, self.metric_samples_count)
-        append_uvarint(footer, self.mappings_count)
+        for count in self._flushed:
+            append_uvarint(footer, count)
         footer += _F64.pack(self._t0)
-        footer += _F64.pack(self._t1)
+        footer += _F64.pack(self._last_time)
         self._fh.write(footer)
         self._fh.write(_U64.pack(self._offset))
         self._fh.write(MAGIC_X_END)

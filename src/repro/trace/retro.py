@@ -226,17 +226,18 @@ def evaluate_question_batch(
 
     Pass ``shards`` to partition pattern nodes across consistent-hash
     shards, or a pre-built ``engine`` with subscriptions already attached.
-    That engine must be fresh: one that has already seen a membership
-    change would nest this replay into its leftover membership, so it is
+    That engine must be :attr:`~repro.core.multiq.MultiQuestionEngine.fresh`:
+    one with members (seeded, attached or replayed) or with a membership
+    change behind it would nest this replay into that state, so it is
     rejected with ``ValueError``.
 
     Answers are keyed by :func:`question_name`, so one name may denote
     only one question: structurally equal duplicates share an answer, and
     a name shared by two different questions raises ``ValueError``.
     """
-    if engine is not None and engine.membership_changes:
+    if engine is not None and not engine.fresh:
         raise ValueError(
-            "engine has already replayed membership changes; pass a fresh one"
+            "engine already has members or membership changes; pass a fresh one"
         )
     eng = engine if engine is not None else MultiQuestionEngine(shards=shards)
     subs = [(question_name(q), eng.subscribe(q)) for q in questions]

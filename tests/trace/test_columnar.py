@@ -1,6 +1,7 @@
 """Unit tests for the columnar ``.rtrcx`` backend and the common scan API."""
 
 import random
+import re
 import struct
 
 import pytest
@@ -26,8 +27,11 @@ from repro.trace import (
     trace_stats,
     windowed_mappings,
 )
+from repro.trace.codec import CodecError
 from repro.trace.columnar import _sid_rows
 from repro.workloads import random_trace
+
+from .oracle import PerRecordColumnarWriter
 
 SUM = Verb("Sum", "HPF")
 SEND = Verb("Send", "CMRTS")
@@ -121,6 +125,134 @@ class TestColumnarRoundTrip:
         with ColumnarTraceWriter(path, metadata={"study": "x", "n": 2}) as w:
             w.transition(1.0, EventKind.ACTIVATE, A_SUM)
         assert ColumnarTraceReader(path).meta == {"study": "x", "n": 2}
+
+
+#: sentences over three levels, one with non-ASCII names
+ORACLE_POOL = [A_SUM, B_SUM, N0_SEND, sentence(Verb("Écrit", "Ünix"), Noun("fd·1", "Ünix"))]
+ORACLE_NODES = [None, 0, 1, 5, -2]
+
+
+@st.composite
+def record_streams(draw):
+    """A valid record stream: nested activations on several nodes (node
+    None included), equal and negative times, metric samples with
+    non-ASCII strings, and mappings of both origins."""
+    t = draw(st.floats(-5.0, 5.0))
+    open_: dict = {}
+    out = []
+    for _ in range(draw(st.integers(0, 60))):
+        op = draw(st.sampled_from(["act", "act", "deact", "deact", "metric", "map"]))
+        if op == "deact" and any(open_.values()):
+            key = draw(st.sampled_from(sorted((k for k, n in open_.items() if n), key=str)))
+            open_[key] -= 1
+            node, sent = key
+            out.append(("transition", t, EventKind.DEACTIVATE, sent, node))
+        elif op in ("act", "deact"):
+            key = (draw(st.sampled_from(ORACLE_NODES)), draw(st.sampled_from(ORACLE_POOL)))
+            open_[key] = open_.get(key, 0) + 1
+            out.append(("transition", t, EventKind.ACTIVATE, key[1], key[0]))
+        elif op == "metric":
+            text = st.text(max_size=4)
+            out.append(("metric_sample", t, draw(text), draw(text), draw(st.floats()), draw(text)))
+        else:
+            origin = draw(st.sampled_from(list(MappingOrigin)))
+            src, dst = draw(st.sampled_from(ORACLE_POOL)), draw(st.sampled_from(ORACLE_POOL))
+            out.append(("mapping", t, src, dst, origin))
+        t += draw(st.sampled_from([0.0, 0.0, 1e-9, 0.5, 3.0]))
+    return out
+
+
+def write_stream(cls, path, stream, segment_records):
+    writer = cls(path, segment_records=segment_records, metadata={"oracle": True})
+    for method, *args in stream:
+        getattr(writer, method)(*args)
+    writer.close()
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stream=record_streams(),
+    segment_records=st.one_of(st.integers(1, 64), st.just(4096)),
+)
+def test_buffered_writer_matches_the_per_record_oracle(tmp_path_factory, stream, segment_records):
+    # the segment buffer encodes in one pass what the oracle did per call:
+    # the same interning, snapshots, zone maps and columns, byte for byte
+    root = tmp_path_factory.getbasetemp()
+    assert write_stream(
+        ColumnarTraceWriter, root / "buffered.rtrcx", stream, segment_records
+    ) == write_stream(PerRecordColumnarWriter, root / "oracle.rtrcx", stream, segment_records)
+
+
+class TestColumnarWriterContract:
+    RECORDS = {
+        "transition": (1.0, EventKind.ACTIVATE, A_SUM),
+        "metric_sample": (1.0, "cpu", "", 2.0),
+        "mapping": (1.0, A_SUM, B_SUM),
+    }
+
+    @pytest.mark.parametrize("method", sorted(RECORDS))
+    def test_closed_writer_rejects_each_record_method(self, tmp_path, method):
+        w = ColumnarTraceWriter(tmp_path / "t.rtrcx")
+        w.close()
+        w.close()  # idempotent
+        with pytest.raises(ValueError, match="closed"):
+            getattr(w, method)(*self.RECORDS[method])
+
+    BAD = {
+        "backwards": (
+            [(2.0, EventKind.ACTIVATE, A_SUM, 0), (1.0, EventKind.ACTIVATE, B_SUM, 0)],
+            ValueError, "trace time went backwards: 1.0 < 2.0",
+        ),
+        "unbalanced": (
+            [(1.0, EventKind.ACTIVATE, A_SUM, 0), (2.0, EventKind.DEACTIVATE, A_SUM, 1)],
+            ValueError, "deactivate without activate for {A Sum} on node 1",
+        ),
+        "node_range": (
+            [(1.0, EventKind.ACTIVATE, A_SUM, 0), (2.0, EventKind.ACTIVATE, A_SUM, 2**32)],
+            CodecError, f"node id {2**32} out of u32 range",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(BAD))
+    @pytest.mark.parametrize("raised_by", ["filling call", "close"])
+    def test_invalid_record_raises_and_leaves_no_trace(self, tmp_path, fault, raised_by):
+        records, error, message = self.BAD[fault]
+        path = tmp_path / "t.rtrcx"
+        # a prefix segment flushes cleanly first, so the fault is not at the
+        # first record of the file
+        good = [(0.5, EventKind.ACTIVATE, N0_SEND, 3), (0.5, EventKind.DEACTIVATE, N0_SEND, 3)]
+        w = ColumnarTraceWriter(path, segment_records=2 if raised_by == "filling call" else 4096)
+        for rec in good + records[:-1]:
+            w.transition(*rec)
+        if raised_by == "filling call":
+            with pytest.raises(error, match=re.escape(message)):
+                w.transition(*records[-1])
+            with pytest.raises(ValueError, match="closed"):
+                w.transition(3.0, EventKind.ACTIVATE, A_SUM)
+        else:
+            w.transition(*records[-1])
+            with pytest.raises(error, match=re.escape(message)):
+                w.close()
+        w.close()  # a no-op: no footer is written after the error
+        with pytest.raises(CodecError):
+            open_trace(path)
+
+    def test_first_record_time_is_not_checked(self, tmp_path):
+        path = tmp_path / "t.rtrcx"
+        with ColumnarTraceWriter(path, segment_records=1) as w:
+            w.transition(-3.0, EventKind.ACTIVATE, A_SUM)
+            w.transition(-3.0, EventKind.DEACTIVATE, A_SUM)
+        r = ColumnarTraceReader(path)
+        assert r.time_bounds() == (-3.0, -3.0)
+        assert [seg.t_min for seg in r.segments] == [-3.0, -3.0]
+
+    def test_counts_include_buffered_records(self, tmp_path):
+        w = ColumnarTraceWriter(tmp_path / "t.rtrcx", segment_records=3)
+        mixed_trace_writer(w)
+        assert (w.transitions, w.metric_samples_count, w.mappings_count) == (5, 2, 2)
+        w.close()
+        assert (w.transitions, w.metric_samples_count, w.mappings_count) == (5, 2, 2)
 
 
 class TestConvert:

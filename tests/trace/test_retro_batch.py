@@ -159,6 +159,29 @@ def test_reused_engine_rejected_after_history():
         evaluate_question_batch(trace, qs, engine=engine)
 
 
+def test_seeded_engine_rejected():
+    # a seeded engine has members but no membership change: replaying into
+    # it would nest the trace into a member it cannot see, turning conj
+    # (0.00114, 6) into (0.00757, 5) and broad (0.00449, 12) into
+    # (0.0221, 1) without an error
+    trace = random_trace(1, events=50, nodes=1, sentences=6)
+    qs = questions_for(trace)
+    first = sorted({e.sentence for e in trace.events()}, key=str)[0]
+    engine = MultiQuestionEngine()
+    assert engine.fresh
+    engine.seed([(first, 0.0)])
+    assert not engine.fresh and engine.membership_changes == 0
+    with pytest.raises(ValueError, match="fresh"):
+        evaluate_question_batch(trace, qs, engine=engine)
+    answers = evaluate_question_batch(trace, qs, engine=MultiQuestionEngine())
+    assert (answers["conj"].satisfied_time, answers["conj"].transitions) == (
+        0.0011415519676061907, 6
+    )
+    assert (answers["broad"].satisfied_time, answers["broad"].transitions) == (
+        0.004493247585619249, 12
+    )
+
+
 def write_columnar(path, events, segment_records=64):
     writer = ColumnarTraceWriter(str(path), segment_records=segment_records)
     writer.record_trace(events)
