@@ -8,7 +8,7 @@ Two claims, one artifact:
   client/server kernel-op sequence (send query, N busy disk reads, reply,
   think), sharded wide the way the ROADMAP's scale story runs it.  Both
   kernels execute the *same generator code*; only the scheduler differs
-  (the seed scheduler is preserved in ``repro.machine.sim_legacy``).
+  (the seed scheduler is preserved in ``tests/machine/sim_legacy.py``).
 * **sweep**: `SweepRunner` fans study grids across a process pool through
   the pickle-free dispatch path (once-per-worker grid hydration, index
   chunks, shared-memory result arenas) with results byte-identical to the
@@ -34,7 +34,6 @@ import os
 import time
 
 from repro.machine.sim import Simulator, Timeout
-from repro.machine.sim_legacy import LegacySimulator
 from repro.paradyn import text_table
 from repro.sweep import (
     SweepRunner,
@@ -44,6 +43,7 @@ from repro.sweep import (
     resolve_chunk_size,
     unix_grid,
 )
+from tests.machine.sim_legacy import LegacySimulator
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 

@@ -9,7 +9,9 @@ by :meth:`~repro.core.questions.SentencePattern.index_key`, so a
 transition re-evaluated every watcher whose patterns could match it.  This
 module keeps that path as it was, as :class:`WatcherSAS`, for ablation
 abl11's live fan-out comparison (N subscriptions = N watchers here vs one
-shared engine).  Nothing in ``src/`` imports it; its answers are pinned to
+shared engine); its membership bookkeeping follows the SAS's own (one
+dict, whose key order is first-activation order), so the two sides differ
+in question evaluation alone.  Nothing in ``src/`` imports it; its answers are pinned to
 the engine's by abl11's differential check.
 """
 
@@ -310,9 +312,8 @@ class WatcherSAS(ActiveSentenceSet):
         stack = self._active.setdefault(sent, [])
         became_member = not stack
         if became_member:
-            self._order[sent] = None
             if self.co_active_listeners:
-                for other in self._order:
+                for other in self._active:
                     if other != sent:
                         for cb in self.co_active_listeners:
                             cb(other, sent, now)
@@ -341,7 +342,6 @@ class WatcherSAS(ActiveSentenceSet):
         left_membership = not stack
         if left_membership:
             del self._active[sent]
-            del self._order[sent]
         if self.trace is not None:
             self.trace.record(now, EventKind.DEACTIVATE, sent, self.node_id)
         self._update_watchers(now, sent, False if left_membership else None)
@@ -361,7 +361,7 @@ class WatcherSAS(ActiveSentenceSet):
         self.watchers.append(watcher)
         self._register_watcher(watcher)
         self._seed_watcher(watcher)
-        watcher._update(self, self.clock() if self._order else 0.0)
+        watcher._update(self, self.clock() if self._active else 0.0)
         return watcher
 
     # -- inverted index ------------------------------------------------

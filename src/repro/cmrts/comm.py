@@ -10,10 +10,12 @@ tag/source-matched receives with local buffering of out-of-order messages.
 
 Transfer planning: data-motion operations (shift, transpose, sort
 redistribution) are described by :class:`Transfer` lists computed by *pure
-functions of the partition metadata*.  Every node computes the same plan
-independently (SPMD), so no coordination messages are needed to agree on who
-sends what -- matching how real runtime systems hoist this math out of the
-data path.
+functions of the partition metadata*.  Every node needs the same plan
+(SPMD), so no coordination messages are needed to agree on who sends what --
+matching how real runtime systems hoist this math out of the data path.  The
+simulator computes each distinct plan once per run
+(:meth:`repro.cmrts.runtime.CMRTSRuntime.transfer_plan`); planning charges
+no virtual time, so sharing it changes nothing simulated.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class NodeComm:
 
 
 # ----------------------------------------------------------------------
-# transfer planning (pure functions -- every node derives the same plan)
+# transfer planning (pure functions -- every node needs the same plan)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Transfer:
@@ -108,6 +110,7 @@ def _segments_to_transfers(
     """Split (src_lo, src_hi, dst_lo) segments on both partitions' seams."""
     out: list[Transfer] = []
     src_cuts = sorted({b for lo, hi in src_ranges for b in (lo, hi)})
+    dst_cuts = sorted({c for lo, hi in dst_ranges for c in (lo, hi)})
     for src_lo, src_hi, dst_lo in segments:
         if src_hi <= src_lo:
             continue
@@ -120,7 +123,6 @@ def _segments_to_transfers(
         for a, b in zip(pieces, pieces[1:], strict=False):
             d_lo = dst_lo + (a - src_lo)
             # split further on destination ownership boundaries
-            dst_cuts = sorted({c for lo, hi in dst_ranges for c in (lo, hi)})
             sub = [a]
             for cut in dst_cuts:
                 rel = cut - d_lo

@@ -14,7 +14,7 @@ leans on).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Mapping
+from typing import Callable, Generator, Mapping
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from ..cmfortran import (
     ScalarStep,
     eval_expr,
 )
+from ..instrument.probes import NullProbe
 from ..machine import Machine, MachineConfig
 from .alloc import AllocationManager
 from .dispatch import NodeWorker
@@ -53,11 +54,6 @@ class ScalarEnv(dict):
     """Front-end scalar store; unset scalars read as 0.0 (Fortran-of-convenience)."""
 
     def __missing__(self, key: str) -> float:
-        return 0.0
-
-
-class _NullProbe:
-    def fire(self, point, phase, node_id, ctx) -> float:
         return 0.0
 
 
@@ -94,7 +90,7 @@ class CMRTSRuntime:
         self.program = program
         self.machine = machine or Machine(MachineConfig(num_nodes=num_nodes))
         self.config = config or RuntimeConfig()
-        self.probe = probe or _NullProbe()
+        self.probe = probe or NullProbe()
         self.notifier = notifier
         self.initial_arrays = dict(initial_arrays or {})
         self.heap = AllocationManager(self.machine.num_nodes)
@@ -103,6 +99,7 @@ class CMRTSRuntime:
         self.finished = False
         self.done = False  # set by the CP process the moment the plan completes
         self.dispatches = 0
+        self._plans: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     def run(self) -> "CMRTSRuntime":
@@ -116,6 +113,19 @@ class CMRTSRuntime:
         sim.run()
         self.finished = True
         return self
+
+    def transfer_plan(self, planner: Callable[..., list], *args) -> tuple:
+        """``planner(*args)`` as a tuple, computed once per run.
+
+        A plan is a pure function of partition metadata, so every node of an
+        SPMD step asks for the same one, and all get the same object; list
+        arguments are keyed as tuples.
+        """
+        key = (planner, *(tuple(a) if isinstance(a, list) else a for a in args))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = tuple(planner(*args))
+        return plan
 
     # ------------------------------------------------------------------
     # results

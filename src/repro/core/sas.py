@@ -84,11 +84,10 @@ class ActiveSentenceSet:
         self.interest = interest
         self.trace = trace
         self.vocabulary = vocabulary
-        # active multiset: sentence -> stack of activation times
+        # active multiset: sentence -> stack of activation times; a key is
+        # inserted at the outermost activation and deleted at the last
+        # deactivation, so key order is first-activation order
         self._active: dict[Sentence, list[float]] = {}
-        # insertion-ordered membership set (dict keys preserve activation
-        # order; O(1) add/remove keeps notifications off the O(|SAS|) path)
-        self._order: dict[Sentence, None] = {}
         # evaluates the attached questions; created by the first one
         self._engine: MultiQuestionEngine | None = None
         self.notifications = 0
@@ -127,9 +126,8 @@ class ActiveSentenceSet:
         stack = self._active.setdefault(sent, [])
         became_member = not stack
         if became_member:
-            self._order[sent] = None
             if self.co_active_listeners:
-                for other in self._order:
+                for other in self._active:
                     if other != sent:
                         for cb in self.co_active_listeners:
                             cb(other, sent, now)
@@ -159,7 +157,6 @@ class ActiveSentenceSet:
         left_membership = not stack
         if left_membership:
             del self._active[sent]
-            del self._order[sent]
         if self.trace is not None:
             self.trace.record(now, EventKind.DEACTIVATE, sent, self.node_id)
         if left_membership and self._engine is not None:
@@ -175,11 +172,11 @@ class ActiveSentenceSet:
     # ------------------------------------------------------------------
     def active_sentences(self) -> tuple[Sentence, ...]:
         """Snapshot of active sentences in first-activation order (Figure 5)."""
-        return tuple(self._order)
+        return tuple(self._active)
 
     def active_with_times(self) -> list[tuple[Sentence, float]]:
         """Active sentences paired with their outermost activation time."""
-        return [(s, self._active[s][0]) for s in self._order]
+        return [(s, stack[0]) for s, stack in self._active.items()]
 
     def is_active(self, sent: Sentence) -> bool:
         return sent in self._active
@@ -188,7 +185,7 @@ class ActiveSentenceSet:
         return len(self._active.get(sent, ()))
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._active)
 
     def snapshot_by_level(self, vocab: Vocabulary | None = None) -> list[Sentence]:
         """Active sentences ordered most-abstract-first, as Figure 5 renders.
@@ -196,7 +193,7 @@ class ActiveSentenceSet:
         Without a vocabulary, falls back to grouping by level name in
         activation order.
         """
-        order = list(self._order)
+        order = list(self._active)
         if vocab is None:
             seen: list[str] = []
             for s in order:
@@ -222,7 +219,7 @@ class ActiveSentenceSet:
         if self._engine is None:
             self._engine = MultiQuestionEngine()
             self._engine.seed(self.active_with_times())
-        now = self.clock() if self._order else 0.0
+        now = self.clock() if self._active else 0.0
         return self._engine.subscribe(question, now=now).watcher
 
     def restrict_to_questions(self) -> None:
@@ -232,7 +229,7 @@ class ActiveSentenceSet:
         Must be called while the SAS is empty (otherwise already-stored
         sentences could be stranded without their deactivations).
         """
-        if self._order:
+        if self._active:
             raise RuntimeError("cannot restrict a non-empty SAS")
         subs = self._engine.subscriptions if self._engine is not None else ()
         self.interest = interest_from_questions(sub.question for sub in subs)

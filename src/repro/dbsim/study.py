@@ -105,9 +105,9 @@ def run_db_study(
     machine = Machine(MachineConfig(num_nodes=num_clients + 1))
     sim = machine.sim
     client_sases = [
-        ActiveSentenceSet(clock=lambda: sim.now, node_id=i) for i in range(num_clients)
+        ActiveSentenceSet(clock=sim.now_reader(), node_id=i) for i in range(num_clients)
     ]
-    server_sas = ActiveSentenceSet(clock=lambda: sim.now, node_id=server_node)
+    server_sas = ActiveSentenceSet(clock=sim.now_reader(), node_id=server_node)
     if recorder is not None:
         # attached before the baseline snapshot below, so recorder hooks are
         # part of the baseline and don't count as strays

@@ -139,6 +139,11 @@ class InstrumentationManager:
     def inserted_count(self) -> int:
         return sum(len(v) for v in self._by_point.values())
 
+    def armed(self, point: str, phase: str) -> bool:
+        """Whether anything is inserted at (point, phase): O(1), so callers
+        skip building the context of a callout nothing would read."""
+        return (point, phase) in self._by_point
+
     # ------------------------------------------------------------------
     # probe interface (called from inside the simulated application)
     # ------------------------------------------------------------------

@@ -50,11 +50,11 @@ class SentenceNotifier:
         self._site_overrides: dict[str, bool] = {}
         self.notifications = 0
         self.suppressed = 0  # calls at disabled sites (no cost, no SAS)
-        # delivered-activation balance per (node, sentence): a deactivation
+        # delivered-activation balance per node and sentence: a deactivation
         # is always delivered when its activation was, even if the site was
         # disabled in between -- toggling sites mid-sentence must never
         # leave a SAS with an unbalanced multiset
-        self._pending: dict[tuple[int, Sentence], int] = {}
+        self._pending: list[dict[Sentence, int]] = [{} for _ in self.sas_by_node]
 
     # -- site management (driven by the tool) ------------------------------
     def enable_all(self) -> None:
@@ -81,8 +81,8 @@ class SentenceNotifier:
             self.suppressed += 1
             return 0.0
         self.notifications += 1
-        key = (node_id, sentence)
-        self._pending[key] = self._pending.get(key, 0) + 1
+        balance = self._pending[node_id]
+        balance[sentence] = balance.get(sentence, 0) + 1
         self.sas_by_node[node_id].activate(sentence)
         return self.notify_cost
 
@@ -92,13 +92,13 @@ class SentenceNotifier:
         Delivered exactly when the matching activation was delivered, so
         dynamically toggling a site can never unbalance a SAS.
         """
-        key = (node_id, sentence)
-        pending = self._pending.get(key, 0)
+        balance = self._pending[node_id]
+        pending = balance.get(sentence, 0)
         if pending > 0:
             if pending == 1:
-                del self._pending[key]
+                del balance[sentence]
             else:
-                self._pending[key] = pending - 1
+                balance[sentence] = pending - 1
             self.notifications += 1
             self.sas_by_node[node_id].deactivate(sentence)
             return self.notify_cost

@@ -26,7 +26,15 @@ PointContext = Mapping[str, Any]
 
 
 class Probe(Protocol):
-    """Anything that can receive point-execution callouts."""
+    """Anything that can receive point-execution callouts.
+
+    A caller asks :meth:`armed` first and builds a callout's context only
+    when it is true, so an uninstrumented point costs no host time either.
+    """
+
+    def armed(self, point: str, phase: str) -> bool:
+        """Whether anything is inserted at (point, phase); O(1)."""
+        ...
 
     def fire(self, point: str, phase: str, node_id: int, ctx: PointContext) -> float:
         """Report that ``point`` executed its ``phase`` ("entry"/"exit").
@@ -39,6 +47,9 @@ class Probe(Protocol):
 
 class NullProbe:
     """The uninstrumented application: every callout is free."""
+
+    def armed(self, point: str, phase: str) -> bool:
+        return False
 
     def fire(self, point: str, phase: str, node_id: int, ctx: PointContext) -> float:
         return 0.0

@@ -19,6 +19,7 @@ the first point-to-point send) all subscribe here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Generator, Sequence
 
 from .node import Node
@@ -142,11 +143,15 @@ class Network:
         if 0 <= src < len(self.nodes):
             self.nodes[src].accounts.charge("communication", occupy)
         self.stats.record_send(src, dst, size_bytes)
-        kind = "control" if CONTROL_PROCESSOR in (src, dst) else "p2p"
-        self._notify(MessageEvent(self.sim.now, msg, kind))
-        arrival = self.sim.now + self.transfer_time(size_bytes)
-        inbox = self._inbox_of(dst)
-        self.sim.call_at(arrival, lambda: inbox.put(msg))
+        sim = self.sim
+        now = sim.now
+        if self.observers:
+            kind = "control" if CONTROL_PROCESSOR in (src, dst) else "p2p"
+            self._notify(MessageEvent(now, msg, kind))
+        arrival = now + self.transfer_time(size_bytes)
+        # call_at's arithmetic without its past-time check: the transfer
+        # time is positive, so the arrival is never in the past
+        sim._schedule(arrival - now, partial(self._inbox_of(dst).put, msg))
         yield Timeout(occupy)
 
     def datagram(

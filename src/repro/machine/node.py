@@ -10,7 +10,7 @@ activations = dispatches from the control processor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Generator
 
 from .sim import Simulator, Timeout
@@ -51,9 +51,9 @@ class TimeAccounts:
     def charge(self, category: str, dt: float) -> None:
         if dt < 0:
             raise ValueError(f"negative charge: {dt}")
-        if not hasattr(self, category):
+        if category not in _ACCOUNTS:
             raise KeyError(f"unknown time account {category!r}")
-        setattr(self, category, getattr(self, category) + dt)
+        self.__dict__[category] += dt
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -65,6 +65,9 @@ class TimeAccounts:
             "instrumentation": self.instrumentation,
             "other": self.other,
         }
+
+
+_ACCOUNTS = frozenset(f.name for f in fields(TimeAccounts))
 
 
 class Node:

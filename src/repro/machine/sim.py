@@ -27,14 +27,16 @@ eliminates the per-event closure allocation the seed kernel paid for every
 resume.  :meth:`Simulator.run` drains all events sharing one timestamp in a
 tight inner loop (one clock write and one ``until`` check per *instant*
 instead of per event).  The seed kernel is preserved verbatim in
-:mod:`repro.machine.sim_legacy` as the differential oracle for these
-semantics.
+``tests/machine/sim_legacy.py`` as the differential oracle for these
+semantics and the abl8 baseline.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Any, Callable, Generator, Iterable
 
 __all__ = [
@@ -230,6 +232,11 @@ class Simulator:
     def now(self) -> float:
         """Current virtual time."""
         return self._now
+
+    def now_reader(self) -> Callable[[], float]:
+        """A zero-argument callable returning :attr:`now` without running a
+        Python frame (a SAS clock reads it on every notification)."""
+        return partial(attrgetter("_now"), self)
 
     def signal(self) -> Signal:
         """Create a fresh one-shot :class:`Signal`."""

@@ -117,7 +117,7 @@ class Paradyn:
         if enable_sas:
             self.sases = [
                 ActiveSentenceSet(
-                    clock=lambda s=sim: s.now, node_id=i, trace=self.trace if i == 0 else None
+                    clock=sim.now_reader(), node_id=i, trace=self.trace if i == 0 else None
                 )
                 for i in range(self.machine.num_nodes)
             ]

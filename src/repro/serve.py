@@ -142,9 +142,19 @@ class _Client:
     writer: asyncio.StreamWriter
     specs: list[QuestionSpec] = field(default_factory=list)
     stream: bool = True
+    lines: list[bytes] = field(default_factory=list)
 
     def send(self, payload: dict) -> None:
-        self.writer.write(json.dumps(payload, sort_keys=True).encode() + b"\n")
+        """Queue one NDJSON line; :meth:`drain` writes the queue."""
+        self.lines.append(json.dumps(payload, sort_keys=True).encode() + b"\n")
+
+    async def drain(self) -> None:
+        """Write every queued line in one ``write`` (one send on a drained
+        socket, not one per line) and wait for the transport."""
+        if self.lines:
+            self.writer.write(b"".join(self.lines))
+            self.lines.clear()
+        await self.writer.drain()
 
 
 class TraceSource:
@@ -285,7 +295,7 @@ class ServeServer:
                 "subscribers": self.subscribers,
             }
         )
-        await writer.drain()
+        await client.drain()
         try:
             line = await reader.readline()
             if not line:
@@ -294,7 +304,7 @@ class ServeServer:
         except ValueError as exc:
             client.send({"event": "error", "message": str(exc)})
             try:
-                await writer.drain()
+                await client.drain()
             finally:
                 writer.close()
             return
@@ -311,7 +321,7 @@ class ServeServer:
                 }
             )
             try:
-                await writer.drain()
+                await client.drain()
             finally:
                 writer.close()
             return
@@ -323,7 +333,7 @@ class ServeServer:
             # advisory only: clients that don't know the key ignore it
             subscribed["dead"] = dead
         client.send(subscribed)
-        await writer.drain()
+        await client.drain()
         self._waiting.append(client)
         if len(self._waiting) >= self.subscribers:
             self._batch_ready.set()
@@ -346,7 +356,7 @@ class ServeServer:
                     for c in batch:
                         c.send({"event": "error", "message": message})
                         try:
-                            await c.writer.drain()
+                            await c.drain()
                         except ConnectionError:
                             pass
                         c.writer.close()
@@ -374,7 +384,7 @@ class ServeServer:
         async def flush() -> None:
             for client in batch:
                 try:
-                    await client.writer.drain()
+                    await client.drain()
                 except ConnectionError:
                     pass
             await asyncio.sleep(0)
@@ -412,7 +422,7 @@ class ServeServer:
             )
             client.send({"event": "end"})
             try:
-                await client.writer.drain()
+                await client.drain()
             except ConnectionError:
                 pass
             client.writer.close()

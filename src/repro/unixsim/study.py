@@ -83,7 +83,7 @@ def run_figure7_study(
     script = list(script) if script is not None else default_script()
     sim = Simulator()
     trace = Trace()
-    sas = ActiveSentenceSet(clock=lambda: sim.now, trace=trace)
+    sas = ActiveSentenceSet(clock=sim.now_reader(), trace=trace)
     if recorder is not None:
         sas.attach_recorder(recorder)
     config = config or KernelConfig()

@@ -1,6 +1,8 @@
 """Unit tests for the Set of Active Sentences."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     WILDCARD,
@@ -230,3 +232,54 @@ def test_snapshot_by_level_orders_most_abstract_first():
     sas.activate(A_SUM)
     snap = sas.snapshot_by_level(vocab)
     assert snap == [LINE1, A_SUM, P_SEND]
+
+
+def test_active_sentences_keep_first_activation_order():
+    """Re-entrant activations keep a sentence's place; a sentence that
+    leaves and comes back moves to the end."""
+    clock = ManualClock()
+    sas = ActiveSentenceSet(clock=clock)
+    for t, (sent, on) in enumerate([
+        (LINE1, True), (A_SUM, True), (LINE1, True), (P_SEND, True),
+        (LINE1, False), (A_SUM, False), (B_SUM, True), (A_SUM, True),
+        (LINE1, False), (LINE1, True),
+    ]):
+        clock.t = float(t)
+        (sas.activate if on else sas.deactivate)(sent)
+    assert sas.active_sentences() == (P_SEND, B_SUM, A_SUM, LINE1)
+    assert sas.active_with_times() == [(P_SEND, 3.0), (B_SUM, 6.0), (A_SUM, 7.0), (LINE1, 9.0)]
+    assert len(sas) == 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=60))
+def test_active_sentences_match_an_ordered_multiset(steps):
+    """Against a list model: members in outermost-activation order, each
+    with its activation count and outermost time."""
+    pool = (LINE1, A_SUM, B_SUM, P_SEND)
+    clock = ManualClock()
+    sas = ActiveSentenceSet(clock=clock)
+    model: list[list] = []  # [sentence, depth, outermost time]
+    for t, (i, on) in enumerate(steps):
+        clock.t = float(t)
+        sent = pool[i]
+        entry = next((e for e in model if e[0] == sent), None)
+        if on:
+            sas.activate(sent)
+            if entry is None:
+                model.append([sent, 1, clock.t])
+            else:
+                entry[1] += 1
+        elif entry is None:
+            with pytest.raises(ValueError):
+                sas.deactivate(sent)
+        else:
+            sas.deactivate(sent)
+            entry[1] -= 1
+            if entry[1] == 0:
+                model.remove(entry)
+        assert sas.active_sentences() == tuple(e[0] for e in model)
+        assert sas.active_with_times() == [(e[0], e[2]) for e in model]
+        assert [sas.activation_depth(s) for s in pool] == [
+            next((e[1] for e in model if e[0] == s), 0) for s in pool
+        ]

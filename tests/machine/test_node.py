@@ -119,3 +119,19 @@ def test_machine_config_validation():
         MachineConfig(num_nodes=0)
     with pytest.raises(ValueError):
         MachineConfig(flop_time=-1.0)
+
+
+@pytest.mark.parametrize("name", ["total", "as_dict", "charge", "__class__"])
+def test_accounts_reject_attributes_that_are_not_accounts(name):
+    """Only the dataclass's fields are accounts: a method name raises the
+    documented KeyError instead of a TypeError from adding to a method."""
+    acc = TimeAccounts()
+    with pytest.raises(KeyError, match="unknown time account"):
+        acc.charge(name, 1.0)
+    assert acc.as_dict() == TimeAccounts().as_dict()
+    assert callable(acc.total) and callable(acc.as_dict)
+
+
+def test_accounts_check_the_charge_before_the_name():
+    with pytest.raises(ValueError, match="negative charge"):
+        TimeAccounts().charge("total", -1.0)

@@ -1,6 +1,6 @@
 """Differential oracle: the tuple kernel vs the preserved seed kernel.
 
-The seed scheduler (`repro.machine.sim_legacy.LegacySimulator`) is the
+The seed scheduler (`tests/machine/sim_legacy.py`'s `LegacySimulator`) is the
 executable specification of event ordering.  These tests generate seeded
 random workloads -- timers, channel producer/consumer meshes, signal
 broadcasts, process joins -- build the identical plan twice, and run it on
@@ -13,7 +13,8 @@ import random
 import pytest
 
 from repro.machine.sim import Simulator, Timeout
-from repro.machine.sim_legacy import LegacySimulator
+
+from .sim_legacy import LegacySimulator
 
 N_CHANNELS = 3
 N_SIGNALS = 2
@@ -130,7 +131,8 @@ def test_kernels_share_process_classes():
     definition runs unmodified on either scheduler (what the abl8 bench
     relies on)."""
     from repro.machine import sim as sim_mod
-    from repro.machine import sim_legacy
+
+    from . import sim_legacy
 
     assert sim_legacy.Timeout is sim_mod.Timeout
     assert sim_legacy.Channel is sim_mod.Channel

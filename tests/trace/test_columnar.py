@@ -27,7 +27,7 @@ from repro.trace import (
     trace_stats,
     windowed_mappings,
 )
-from repro.trace.codec import CodecError
+from repro.trace.codec import CodecError, append_uvarint
 from repro.trace.columnar import _sid_rows
 from repro.workloads import random_trace
 
@@ -518,3 +518,48 @@ class TestEmptyColumnar:
         assert r.time_bounds() == (1.0, 1.0)  # bounds cover all record kinds
         assert r.last_transition_time() is None
         assert len(list(r.metric_samples())) == 1
+
+
+class TestZoneMapSidSets:
+    """A footer's sid sets: one-byte deltas are summed at C speed, wider
+    ones decoded varint by varint, and every CodecError check stays."""
+
+    def _file(self, path):
+        """Segment 0 holds sids 0..200 (all deltas 1); segment 1 holds
+        sids {0, 200}, a delta of 200 that needs a two-byte varint."""
+        pool = [sentence(SUM, Noun(f"s{k}", "HPF")) for k in range(201)]
+        with ColumnarTraceWriter(path, segment_records=201) as w:
+            for k, sent in enumerate(pool):
+                w.transition(float(k), EventKind.ACTIVATE, sent, node_id=0)
+            w.transition(300.0, EventKind.DEACTIVATE, pool[200], node_id=0)
+            w.transition(301.0, EventKind.DEACTIVATE, pool[0], node_id=0)
+        return path.read_bytes()
+
+    def test_wide_deltas_take_the_varint_path(self, tmp_path):
+        self._file(tmp_path / "t.rtrcx")
+        with ColumnarTraceReader(tmp_path / "t.rtrcx") as reader:
+            assert [seg.sids for seg in reader.segments] == [
+                frozenset(range(201)), frozenset({0, 200})
+            ]
+            for i, seg in enumerate(reader.segments):
+                assert set(reader.segment_transitions(i)[1]) == seg.sids
+
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_sid_run_cut_by_the_footer_end_raises(self, tmp_path, excess):
+        """The last segment's sid count is raised to every remaining byte
+        (the run then reads the footer's tail as deltas, a two-byte one
+        among them, and runs off the end) or to one more (the count check)."""
+        data = self._file(tmp_path / "t.rtrcx")
+        with ColumnarTraceReader(tmp_path / "t.rtrcx") as reader:
+            tail = bytearray()
+            for count in (reader.transitions, reader.metric_count, reader.mapping_count):
+                append_uvarint(tail, count)
+        run = bytes([0, 0xC8, 0x01])  # deltas 0 and 200
+        at = len(data) - (len(tail) + 16 + 12) - len(run) - 1
+        assert data[at:at + 1 + len(run)] == bytes([2]) + run
+        rest = data[at + 1:]
+        assert not rest.isascii()
+        bad = tmp_path / "bad.rtrcx"
+        bad.write_bytes(data[:at] + bytes([len(rest) + excess]) + rest)
+        with pytest.raises(CodecError, match="truncated varint|zone map sid set"):
+            ColumnarTraceReader(bad)
