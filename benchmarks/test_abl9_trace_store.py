@@ -4,8 +4,9 @@ Four claims, one artifact:
 
 * **overhead**: streaming every SAS transition of the abl4-shaped db study
   through a :class:`~repro.trace.ColumnarTraceWriter` (``.rtrcx``) costs
-  <= 10% events/sec against the unrecorded run (mean of the 3 fastest of
-  N rounds on both sides);
+  <= 10% of the unrecorded run's CPU time (the median of paired per-round
+  differences over the median plain round; a recorder that does nothing
+  is measured the same way, as the estimator's zero point);
 * **retro == live**: replaying the recorded HPF fragment answers all four
   Figure-6 performance questions with *identical* satisfied time and
   transition counts to the live ``QuestionWatcher`` attached during the run;
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import statistics
 import tempfile
 import time
 
@@ -51,7 +53,7 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
 #: overhead workload: (db clients, queries, timing rounds per side).
 #: Not shrunk under QUICK -- a shorter run makes the ratio noise-dominated.
-DB_SCALE = (8, 120, 7)
+DB_SCALE = (8, 120, 21)
 #: seek workload: (events, snapshot cadence, indexed probes, linear probes)
 SEEK_SCALE = (4_000, 128, 60, 8) if QUICK else (20_000, 256, 200, 12)
 
@@ -83,41 +85,69 @@ def _db_queries():
     return [Query(f"Q{i}", disk_reads=(i % 4) + 1) for i in range(nq)]
 
 
-def _measure_overhead(tmpdir: str) -> dict:
-    """Wall time for the db study, plain vs recorded, rounds interleaved.
+class _NullRecorder:
+    """A recorder that does nothing: its overhead is the estimator's zero."""
 
-    The estimator is the mean of the 3 fastest rounds per side: like
-    best-of it discards CPU-steal outliers, but it doesn't let one lucky
-    round set either side's figure.
+    def transition(self, time, kind, sentence, node_id) -> None:
+        pass
+
+
+def _cpu(fn) -> float:
+    t0 = time.process_time()
+    fn()
+    return time.process_time() - t0
+
+
+def _paired_overhead(plain, recorded, rounds: int) -> tuple[float, float]:
+    """``(median plain round, median of paired recorded - plain rounds)``,
+    in CPU seconds of this process.
+
+    The studies run in-process, so CPU time leaves out what other
+    processes on the host take; which side of a round runs first
+    alternates, and the median of the per-round differences cancels the
+    drift both sides of a round share.
     """
-    clients, _, rounds = DB_SCALE
-    plain, recorded = [], []
-    transitions = file_bytes = 0
+    base, extra = [], []
     for r in range(rounds):
-        t0 = time.perf_counter()
-        run_db_study(_db_queries(), num_clients=clients)
-        plain.append(time.perf_counter() - t0)
+        if r % 2:
+            q = _cpu(recorded)
+            p = _cpu(plain)
+        else:
+            p = _cpu(plain)
+            q = _cpu(recorded)
+        base.append(p)
+        extra.append(q - p)
+    return statistics.median(base), statistics.median(extra)
 
-        path = os.path.join(tmpdir, f"overhead{r}.rtrcx")
-        t0 = time.perf_counter()
+
+def _measure_overhead(tmpdir: str) -> dict:
+    """CPU time of the db study, plain vs recorded and vs a null recorder."""
+    clients, _, rounds = DB_SCALE
+    path = os.path.join(tmpdir, "overhead.rtrcx")
+    counts = []
+
+    def plain():
+        run_db_study(_db_queries(), num_clients=clients)
+
+    def recorded():
         with ColumnarTraceWriter(path) as w:
             run_db_study(_db_queries(), num_clients=clients, recorder=w)
-        recorded.append(time.perf_counter() - t0)
-        transitions = w.transitions
-        file_bytes = os.path.getsize(path)
+        counts.append(w.transitions)
 
-    def trimmed(samples: list[float]) -> float:
-        fastest = sorted(samples)[:3]
-        return sum(fastest) / len(fastest)
+    def null():
+        run_db_study(_db_queries(), num_clients=clients, recorder=_NullRecorder())
 
-    eps_plain = transitions / trimmed(plain)
-    eps_recorded = transitions / trimmed(recorded)
+    base, extra = _paired_overhead(plain, recorded, rounds)
+    null_base, null_extra = _paired_overhead(plain, null, rounds)
+    transitions = counts[-1]
     return {
         "transitions": transitions,
-        "file_bytes": file_bytes,
-        "events_per_sec_plain": eps_plain,
-        "events_per_sec_recorded": eps_recorded,
-        "overhead_frac": 1.0 - eps_recorded / eps_plain,
+        "file_bytes": os.path.getsize(path),
+        "events_per_sec_plain": transitions / base,
+        "events_per_sec_recorded": transitions / (base + extra),
+        "overhead_frac": extra / base,
+        "null_overhead_frac": null_extra / null_base,
+        "writer_us_per_transition": extra / transitions * 1e6,
     }
 
 
@@ -265,6 +295,9 @@ def test_abl9_trace_store(benchmark, save_artifact, artifact_dir, merge_bench):
 
     bench_json = {
         "recording_overhead_frac": ov["overhead_frac"],
+        "null_recorder_overhead_frac": ov["null_overhead_frac"],
+        "writer_us_per_transition": ov["writer_us_per_transition"],
+        "overhead_estimator": "median paired CPU-time difference / median plain round",
         "events_per_sec_plain": ov["events_per_sec_plain"],
         "events_per_sec_recorded": ov["events_per_sec_recorded"],
         "db_transitions": ov["transitions"],
@@ -296,11 +329,13 @@ def test_abl9_trace_store(benchmark, save_artifact, artifact_dir, merge_bench):
     text = (
         "Ablation 9 -- persistent trace store and retrospective mapping\n\n"
         f"recording overhead (db study, {clients} clients x {nq} queries, "
-        f".rtrcx writer, mean of the 3 fastest of {rounds}):\n"
+        f".rtrcx writer; CPU time, median of {rounds} paired rounds):\n"
         f"  plain    : {ov['events_per_sec_plain']:>12,.0f} events/s\n"
         f"  recorded : {ov['events_per_sec_recorded']:>12,.0f} events/s"
         f"  ({ov['overhead_frac']:+.1%}, "
-        f"{ov['file_bytes'] / ov['transitions']:.1f} .rtrcx bytes/transition)\n\n"
+        f"{ov['writer_us_per_transition']:.2f} us and "
+        f"{ov['file_bytes'] / ov['transitions']:.1f} .rtrcx bytes per transition)\n"
+        f"  no-op recorder control: {ov['null_overhead_frac']:+.1%}\n\n"
         "Figure 6 questions, live watcher vs retrospective replay:\n"
         + text_table(
             retro_rows,
