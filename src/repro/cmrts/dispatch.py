@@ -14,7 +14,8 @@ paper's measurement hooks live:
   for each node code block to the SAS" (Section 6.1).  Statement sentences
   ({lineN Executes}) and per-array operation sentences ({A Sum}, {A Compute})
   activate for the duration of the block; Base-level message-send sentences
-  bracket each point-to-point send.
+  bracket each point-to-point send.  Notifications carry sentence ids of
+  the run's sentence table, resolved once per sentence and node.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ..cmfortran import (
     REDUCE_FUNCS,
     REDUCE_IDENTITY,
 )
-from ..core.nouns import Sentence
+from ..core.nouns import SentenceTable
 from .arrays import ParallelArray
 from .comm import (
     NodeComm,
@@ -116,19 +117,11 @@ class NodeWorker:
         self.stats = _OpStats()
         self._tag_counter = 0
         self._pending_cost = 0.0
-        # notification sentences are built once per node: every notification
-        # of one sentence then passes the same object, whose cached hash and
-        # identity check serve the notifier, the SAS, the question engine
-        # and a trace recorder alike
-        self._msg_sentence = processor_sends(node_id)
-        self._p2p_sentence = cmrts_activity("PointToPoint", node_id)
-        self._arg_sentence = cmrts_activity("ArgumentProcessing", node_id)
-        self._cleanup_sentence = cmrts_activity("Cleanup", node_id)
-        self._reduction_sentence = cmrts_activity("Reduction", node_id)
-        # id(block) -> (block, statement sentences, (site, sentence) pairs),
-        # drawn from a pool that holds one object per sentence value
-        self._block_sentences: dict[int, tuple] = {}
-        self._sentence_pool: dict[Sentence, Sentence] = {}
+        # the notifier and the notification sentence ids are bound when
+        # main() starts (_bind_sentences); id(block) -> (block, statement
+        # sids, (site, sid) pairs)
+        self._notifier = None
+        self._block_sids: dict[int, tuple] = {}
         self.comm.on_send.append(self._on_send)
         self.comm.on_send_done.append(self._on_send_done)
 
@@ -147,14 +140,35 @@ class NodeWorker:
             if cost:
                 self._pending_cost += cost
 
-    def _notify(self, site: str, sentence, activate: bool) -> None:
-        notifier = self.runtime.notifier
+    def _bind_sentences(self) -> int:
+        """Resolve this node's notification sentences to ids of its SAS's
+        table (a private one without a notifier); returns the Idle sid.
+
+        Called when :meth:`main` starts: a tool attaches the notifier, and
+        with it the run's table, after the runtime built its workers.
+        """
+        self._notifier = notifier = self.runtime.notifier
+        if notifier is not None:
+            sid = notifier.sas(self.node_id).sid
+        else:
+            sid = SentenceTable().sid
+        self._sid = sid
+        node_id = self.node_id
+        self._msg_sid = sid(processor_sends(node_id))
+        self._p2p_sid = sid(cmrts_activity("PointToPoint", node_id))
+        self._arg_sid = sid(cmrts_activity("ArgumentProcessing", node_id))
+        self._cleanup_sid = sid(cmrts_activity("Cleanup", node_id))
+        self._reduction_sid = sid(cmrts_activity("Reduction", node_id))
+        return sid(cmrts_activity("Idle", node_id))
+
+    def _notify(self, site: str, sid: int, activate: bool) -> None:
+        notifier = self._notifier
         if notifier is None:
             return
         if activate:
-            self._pending_cost += notifier.activate(self.node_id, site, sentence)
+            self._pending_cost += notifier.activate_sid(self.node_id, site, sid)
         else:
-            self._pending_cost += notifier.deactivate(self.node_id, site, sentence)
+            self._pending_cost += notifier.deactivate_sid(self.node_id, site, sid)
 
     def _flush_cost(self) -> Generator:
         """Charge accumulated instrumentation/notification cost as time."""
@@ -166,29 +180,30 @@ class NodeWorker:
         # Figure 5: the Send sentence must be in the SAS before any probe at
         # this point queries it, so notifications precede the entry callout.
         self.stats.p2p_sends += 1
-        self._notify("msg", self._msg_sentence, True)
-        self._notify("cmrts", self._p2p_sentence, True)
+        self._notify("msg", self._msg_sid, True)
+        self._notify("cmrts", self._p2p_sid, True)
         self._probe("cmrts.p2p", "entry", _send_ctx, dst, tag, size)
 
     def _on_send_done(self, dst: int, tag: str, size: int) -> None:
         self._probe("cmrts.p2p", "exit", _send_ctx, dst, tag, size)
-        self._notify("msg", self._msg_sentence, False)
-        self._notify("cmrts", self._p2p_sentence, False)
+        self._notify("msg", self._msg_sid, False)
+        self._notify("cmrts", self._p2p_sid, False)
 
-    def _sentences_of(self, block: NodeCodeBlock) -> tuple:
-        """``block``'s statement and array sentences, built on its first
-        execution on this node (the cached entry keeps ``block`` alive, so
-        its id is not reused); blocks sharing a sentence share its object."""
-        cached = self._block_sentences.get(id(block))
+    def _sids_of(self, block: NodeCodeBlock) -> tuple:
+        """``block``'s statement and array sentence ids, resolved on its
+        first execution on this node (the cached entry keeps ``block``
+        alive, so its id is not reused)."""
+        cached = self._block_sids.get(id(block))
         if cached is None:
             source = self.runtime.program.source_file
-            pooled = self._sentence_pool.setdefault
-            stmts = [line_executes(line, source) for line in block.lines]
-            arrays = [array_op(block_verb_for_array(block, a), a) for a in block.arrays_used]
-            cached = self._block_sentences[id(block)] = (
+            sid = self._sid
+            cached = self._block_sids[id(block)] = (
                 block,
-                [pooled(s, s) for s in stmts],
-                [(f"array.{a}", pooled(s, s)) for a, s in zip(block.arrays_used, arrays)],
+                [sid(line_executes(line, source)) for line in block.lines],
+                [
+                    (f"array.{a}", sid(array_op(block_verb_for_array(block, a), a)))
+                    for a in block.arrays_used
+                ],
             )
         return cached[1], cached[2]
 
@@ -200,13 +215,13 @@ class NodeWorker:
     # main loop
     # ------------------------------------------------------------------
     def main(self) -> Generator:
-        idle_sentence = cmrts_activity("Idle", self.node_id)
+        idle_sid = self._bind_sentences()
         while True:
             self._probe("cmrts.idle", "entry")
-            self._notify("cmrts", idle_sentence, True)
+            self._notify("cmrts", idle_sid, True)
             yield from self._flush_cost()
             msg = yield from self.node.idle_receive()
-            self._notify("cmrts", idle_sentence, False)
+            self._notify("cmrts", idle_sid, False)
             self._probe("cmrts.idle", "exit")
             if msg.tag == "shutdown":
                 yield from self._flush_cost()
@@ -229,39 +244,39 @@ class NodeWorker:
         self._probe("cmrts.block", "entry", _block_ctx, block)
 
         # SAS: statement + array sentences become active (Figure 5's state)
-        stmt_sentences, array_sentences = self._sentences_of(block)
-        for sent in stmt_sentences:
-            self._notify("stmt", sent, True)
-        for site, sent in array_sentences:
-            self._notify(site, sent, True)
+        stmt_sids, array_sids = self._sids_of(block)
+        for sid in stmt_sids:
+            self._notify("stmt", sid, True)
+        for site, sid in array_sids:
+            self._notify(site, sid, True)
 
         # argument processing: unpack the broadcast (time scales with size)
         self._probe("cmrts.argument_processing", "entry", _block_ctx, block, arg_bytes)
-        self._notify("cmrts", self._arg_sentence, True)
+        self._notify("cmrts", self._arg_sid, True)
         yield from self._flush_cost()
         yield from self.node.busy(
             cfg.arg_fixed_time + arg_bytes * cfg.arg_byte_time, "argument_processing"
         )
-        self._notify("cmrts", self._arg_sentence, False)
+        self._notify("cmrts", self._arg_sid, False)
         self._probe("cmrts.argument_processing", "exit", _block_ctx, block, arg_bytes)
 
         # vector-unit cleanup on context switch
         if self.node.vu_dirty:
             self._probe("cmrts.cleanup", "entry", _block_ctx, block)
-            self._notify("cmrts", self._cleanup_sentence, True)
+            self._notify("cmrts", self._cleanup_sid, True)
             yield from self._flush_cost()
             yield from self.node.cleanup_vector_units(cfg.cleanup_time)
-            self._notify("cmrts", self._cleanup_sentence, False)
+            self._notify("cmrts", self._cleanup_sid, False)
             self._probe("cmrts.cleanup", "exit", _block_ctx, block)
 
         self.temps.clear()
         for op in block.ops:
             yield from self._execute_op(op, block, scalars)
 
-        for site, sent in reversed(array_sentences):
-            self._notify(site, sent, False)
-        for sent in reversed(stmt_sentences):
-            self._notify("stmt", sent, False)
+        for site, sid in reversed(array_sids):
+            self._notify(site, sid, False)
+        for sid in reversed(stmt_sids):
+            self._notify("stmt", sid, False)
         self._probe("cmrts.block", "exit", _block_ctx, block)
         self.stats.blocks += 1
         yield from self._flush_cost()
@@ -425,7 +440,7 @@ class NodeWorker:
             float(REDUCE_FUNCS[op.verb](local)) if local.size else REDUCE_IDENTITY[op.verb]
         )
         yield from self.node.compute(max(1, local.size))
-        self._notify("cmrts", self._reduction_sentence, True)
+        self._notify("cmrts", self._reduction_sid, True)
         total = yield from tree_reduce_to_zero(
             self.comm,
             self.runtime.machine.num_nodes,
@@ -433,7 +448,7 @@ class NodeWorker:
             lambda a, b: combine(op.verb, a, b),
             self._tag(f"reduce.{op.slot}"),
         )
-        self._notify("cmrts", self._reduction_sentence, False)
+        self._notify("cmrts", self._reduction_sid, False)
         if me == 0:
             yield from self.comm.send_to_cp("reduce_result", (op.slot, total), 16)
         self.stats.reduces += 1

@@ -22,7 +22,8 @@ __getattr__, __dir__, __all__ = attach(
             "HashRing", "MultiQuestionEngine", "PatternNode", "QuestionWatcher", "Subscription",
         ),
         "nouns": (
-            "BASE_LEVEL", "AbstractionLevel", "Noun", "Sentence", "Verb", "Vocabulary", "sentence",
+            "BASE_LEVEL", "AbstractionLevel", "Noun", "Sentence", "SentenceTable", "Verb",
+            "Vocabulary", "sentence",
         ),
         "questions": (
             "WILDCARD", "OrderedQuestion", "PerformanceQuestion", "QAnd", "QAtom", "QExpr", "QNot",

@@ -87,8 +87,9 @@ class Trace:
         out: list[tuple[float, float]] = []
         depth = 0
         start = 0.0
+        activate = EventKind.ACTIVATE  # bound once, not looked up per event
         for event in self.for_sentence(sentence):
-            if event.kind is EventKind.ACTIVATE:
+            if event.kind is activate:
                 if depth == 0:
                     start = event.time
                 depth += 1
@@ -117,11 +118,12 @@ class Trace:
         """
         depth: dict[Sentence, int] = {}
         order: list[Sentence] = []
+        activate = EventKind.ACTIVATE
         for event in self._events:
             if event.time > time:
                 break
             d = depth.get(event.sentence, 0)
-            if event.kind is EventKind.ACTIVATE:
+            if event.kind is activate:
                 if d == 0:
                     order.append(event.sentence)
                 depth[event.sentence] = d + 1
@@ -173,8 +175,9 @@ class Trace:
         identical.  Timing is governed by the target SAS's own clock; the
         trace's recorded times are not re-imposed.
         """
+        activate = EventKind.ACTIVATE
         for event in self._events:
-            if event.kind is EventKind.ACTIVATE:
+            if event.kind is activate:
                 sas.activate(event.sentence)
             else:
                 sas.deactivate(event.sentence)

@@ -57,7 +57,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .nouns import Sentence
+from .nouns import Sentence, SentenceTable
 from .questions import (
     OrderedQuestion,
     PerformanceQuestion,
@@ -130,10 +130,10 @@ class PatternNode:
     pattern: SentencePattern
     shard: int
     count: int = 0  # active sentences currently matching
-    #: time-sorted (sentence, outermost activation time), maintained only
-    #: while some OrderedQuestion references this node (rebuilt from live
-    #: membership when the first ordered subscriber attaches)
-    entries: list[tuple[Sentence, float]] = field(default_factory=list)
+    #: time-sorted (sentence id, outermost activation time), maintained
+    #: only while some OrderedQuestion references this node (rebuilt from
+    #: live membership when the first ordered subscriber attaches)
+    entries: list[tuple[int, float]] = field(default_factory=list)
     parents: list[int] = field(default_factory=list)  # subsuming nodes (same shard)
     children: list[int] = field(default_factory=list)  # subsumed nodes (same shard)
     expr_subs: set[int] = field(default_factory=set)
@@ -222,18 +222,21 @@ class _Shard:
 class MultiQuestionEngine:
     """Evaluate many questions over one transition stream, sharing work.
 
-    Every :class:`~repro.core.sas.ActiveSentenceSet` owns one, created at
-    its first question and fed the membership changes the SAS computes
-    anyway (:meth:`membership_change`).  Raw transitions, nested
-    re-entrancy included, go through :meth:`transition`, which keeps the
-    engine's own depth map: a recorded trace replayed by
-    :func:`repro.trace.retro.evaluate_question_batch` in one
-    zone-map-pruned pass, or a live SAS hooked with :meth:`attach_sas`
+    Membership, depth and the match memo are keyed on the sentence ids of
+    :attr:`table`.  Every :class:`~repro.core.sas.ActiveSentenceSet` owns
+    one engine, created at its first question on the SAS's own table, and
+    feeds it the membership changes the SAS computes anyway, by id
+    (:meth:`membership_change_sid`); a columnar replay binds a fresh
+    engine to the file's table and does the same
+    (:func:`repro.trace.retro.replay_batch`).  Raw transitions of
+    sentences, nested re-entrancy included, go through :meth:`transition`,
+    which looks each up in the table and keeps the engine's own depth map:
+    an event replay, or a live SAS hooked with :meth:`attach_sas`
     (forwarded bus transitions included, since the bus applies them to the
     replica SAS).
     """
 
-    def __init__(self, shards: int = 1):
+    def __init__(self, shards: int = 1, table: SentenceTable | None = None):
         self.ring = HashRing(shards)
         self.shards = [_Shard(k) for k in range(shards)]
         self._nodes: list[PatternNode] = []
@@ -241,11 +244,12 @@ class MultiQuestionEngine:
         self._subs: list[Subscription] = []
         self._by_key: dict[tuple, int] = {}
         self._names: dict[str, int] = {}
-        # membership multiset + outermost activation times
-        self._depth: dict[Sentence, int] = {}
-        self._active: dict[Sentence, float] = {}
-        # sentence -> matching node ids (invalidated when nodes are added)
-        self._match_cache: dict[Sentence, tuple[int, ...]] = {}
+        self.table = table if table is not None else SentenceTable()
+        # membership multiset + outermost activation times, by sentence id
+        self._depth: dict[int, int] = {}
+        self._active: dict[int, float] = {}
+        # sentence id -> matching node ids (invalidated when nodes are added)
+        self._match_cache: dict[int, tuple[int, ...]] = {}
         # counters: membership_changes is also the subscription dedup guard
         self.membership_changes = 0  # outermost activate / last deactivate
         self.shard_touches: list[int] = [0] * shards
@@ -298,17 +302,19 @@ class MultiQuestionEngine:
         # existing cached match sets don't know about the new node
         self._match_cache.clear()
         # seed from current membership so late subscriptions see true state
-        for sent, t in self._active.items():
-            if canon.matches(sent):
+        sentences = self.table.sentences
+        for sid, t in self._active.items():
+            if canon.matches(sentences[sid]):
                 node.count += 1
-                node.entries.append((sent, t))
+                node.entries.append((sid, t))
         node.entries.sort(key=lambda st: st[1])
         return nid
 
-    def _match_nodes(self, sent: Sentence) -> tuple[int, ...]:
-        cached = self._match_cache.get(sent)
+    def _match_nodes(self, sid: int) -> tuple[int, ...]:
+        cached = self._match_cache.get(sid)
         if cached is not None:
             return cached
+        sent = self.table.sentences[sid]
         nodes = self._nodes
         # a sentence matching a node carries its index key and matches all
         # its ancestors, so every matching node sits under a root whose key
@@ -336,7 +342,7 @@ class MultiQuestionEngine:
             # match subsets of this node's match set
         out.sort()
         result = tuple(out)
-        self._match_cache[sent] = result
+        self._match_cache[sid] = result
         return result
 
     # ------------------------------------------------------------------
@@ -436,11 +442,12 @@ class MultiQuestionEngine:
                     # subscribers; membership changes since creation (e.g. a
                     # node first referenced by boolean questions) left them
                     # stale -- rebuild from live membership before trusting
+                    sentences = self.table.sentences
                     node.entries = sorted(
                         (
-                            (s, t)
-                            for s, t in self._active.items()
-                            if node.pattern.matches(s)
+                            (sid, t)
+                            for sid, t in self._active.items()
+                            if node.pattern.matches(sentences[sid])
                         ),
                         key=lambda st: st[1],
                     )
@@ -521,9 +528,9 @@ class MultiQuestionEngine:
     def _move_on(self, node: PatternNode, satisfied: set[int]) -> None:
         """Re-file the conjunctions waiting on ``node``, which is no longer
         zero (so none is filed back under it); collect the now-satisfied."""
-        for sid in node.blocked:
-            if self._watch(self._subs[sid]):
-                satisfied.add(sid)
+        for sub_id in node.blocked:
+            if self._watch(self._subs[sub_id]):
+                satisfied.add(sub_id)
         node.blocked.clear()
 
     def _evaluate(self, sub: Subscription) -> bool:
@@ -544,38 +551,45 @@ class MultiQuestionEngine:
             return values[-1]
         # ordered: merge the component nodes' entry lists (a sentence in
         # several nodes carries one outermost time, so dedupe by sentence)
-        merged: dict[Sentence, float] = {}
+        merged: dict[int, float] = {}
         for nid in set(sub.nids):
             merged.update(nodes[nid].entries)
-        entries = sorted(merged.items(), key=lambda st: st[1])
+        sentences = self.table.sentences
+        entries = [
+            (sentences[sid], t) for sid, t in sorted(merged.items(), key=lambda st: st[1])
+        ]
         return sub.question._match(entries, 0, -float("inf"))
 
     def transition(self, sent: Sentence, became_active: bool, now: float) -> None:
         """Feed one raw SAS transition (nested re-entrancy handled here)."""
+        sid = self.table.sid(sent)
         depth = self._depth
-        d = depth.get(sent, 0)
+        d = depth.get(sid, 0)
         if became_active:
-            depth[sent] = d + 1
+            depth[sid] = d + 1
             if d:
                 return  # nested: membership and outermost times unchanged
         else:
             if d == 0:
                 raise ValueError(f"deactivate of non-active sentence {sent}")
             if d > 1:
-                depth[sent] = d - 1
+                depth[sid] = d - 1
                 return
-            del depth[sent]
-        self.membership_change(sent, became_active, now)
+            del depth[sid]
+        self.membership_change_sid(sid, became_active, now)
 
-    def membership_change(self, sent: Sentence, joined: bool, now: float) -> None:
-        """``sent`` became a member (outermost activation, ``joined``) or
-        stopped being one (last deactivation) at ``now``."""
+    def membership_change_sid(self, sid: int, joined: bool, now: float) -> None:
+        """The sentence ``sid`` of :attr:`table` became a member (outermost
+        activation, ``joined``) or stopped being one (last deactivation) at
+        ``now``."""
         if joined:
-            self._active[sent] = now
+            self._active[sid] = now
         else:
-            del self._active[sent]
+            del self._active[sid]
         self.membership_changes += 1
-        nids = self._match_nodes(sent)
+        nids = self._match_cache.get(sid)
+        if nids is None:
+            nids = self._match_nodes(sid)
         if not nids:
             return
         nodes = self._nodes
@@ -598,7 +612,7 @@ class MultiQuestionEngine:
                     i = len(entries)
                     while i > 0 and entries[i - 1][1] > now:
                         i -= 1
-                    entries.insert(i, (sent, now))
+                    entries.insert(i, (sid, now))
                     dirty |= node.ordered_subs
             else:
                 node.count -= 1
@@ -608,25 +622,25 @@ class MultiQuestionEngine:
                     if satisfied:
                         # each now waits on a zero node; no set but this
                         # one's is cleared while it is read
-                        for sid in satisfied:
-                            sub = subs[sid]
+                        for sub_id in satisfied:
+                            sub = subs[sub_id]
                             for other in sub.nids:
                                 if other != nid:
-                                    nodes[other].sat.discard(sid)
+                                    nodes[other].sat.discard(sub_id)
                             self._watch(sub)
-                            dirty.add(sid)
+                            dirty.add(sub_id)
                         satisfied.clear()
                 if node.ordered_subs:
                     entries = node.entries
                     for i in range(len(entries) - 1, -1, -1):
-                        if entries[i][0] == sent:
+                        if entries[i][0] == sid:
                             del entries[i]
                             break
                     dirty |= node.ordered_subs
         if not dirty:
             return
-        for sid in sorted(dirty):
-            sub = subs[sid]
+        for sub_id in sorted(dirty):
+            sub = subs[sub_id]
             # a conjunction is dirty only if this change flipped it
             value = joined if sub.kind == "conj" else self._evaluate(sub)
             sub.watcher._apply(value, now)
@@ -641,10 +655,11 @@ class MultiQuestionEngine:
         the seeded state.  Sentences that are already members keep theirs.
         """
         for sent, t in members:
-            if sent in self._active:
+            sid = self.table.sid(sent)
+            if sid in self._active:
                 continue
-            self._active[sent] = t
-            for nid in self._match_nodes(sent):
+            self._active[sid] = t
+            for nid in self._match_nodes(sid):
                 node = self._nodes[nid]
                 node.count += 1
                 if node.count == 1 and node.blocked:
@@ -652,7 +667,7 @@ class MultiQuestionEngine:
                     # node would miss its last component's flip
                     self._move_on(node, set())
                 if node.ordered_subs:
-                    node.entries.append((sent, t))
+                    node.entries.append((sid, t))
                     node.entries.sort(key=lambda st: st[1])
 
     def attach_sas(self, sas) -> Callable[[Sentence, bool, float], None]:
@@ -670,7 +685,8 @@ class MultiQuestionEngine:
         """
         active = sas.active_sentences()
         for sent in active:
-            self._depth[sent] = self._depth.get(sent, 0) + sas.activation_depth(sent)
+            sid = self.table.sid(sent)
+            self._depth[sid] = self._depth.get(sid, 0) + sas.activation_depth(sent)
         self.seed(sas.active_with_times())
         if active:
             now = sas.clock()

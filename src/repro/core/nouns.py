@@ -24,6 +24,7 @@ __all__ = [
     "Noun",
     "Verb",
     "Sentence",
+    "SentenceTable",
     "Vocabulary",
     "BASE_LEVEL",
 ]
@@ -144,6 +145,40 @@ class Sentence:
 def sentence(verb: Verb, *nouns: Noun) -> Sentence:
     """Convenience constructor: ``sentence(Executes, line1160)``."""
     return Sentence(verb, tuple(nouns))
+
+
+class SentenceTable:
+    """One run's sentence ids: a sentence is numbered the first time it is
+    seen, so the notification path keys its dicts on small ints and hashes
+    no sentence per notification.  ``sentences[sid]`` is the instance first
+    seen; a table built from a recorded trace's (distinct) sentences
+    numbers them by file sid.
+    """
+
+    __slots__ = ("sentences", "_ids")
+
+    def __init__(self, sentences: Iterable[Sentence] = ()) -> None:
+        self.sentences: list[Sentence] = list(sentences)
+        # built at the first lookup: a replay by file sid never needs it
+        self._ids: dict[Sentence, int] | None = None
+
+    def _index(self) -> dict[Sentence, int]:
+        if self._ids is None:
+            self._ids = {s: i for i, s in enumerate(self.sentences)}
+        return self._ids
+
+    def sid(self, sent: Sentence) -> int:
+        """The id of ``sent``, numbering it if it is new."""
+        ids = self._ids if self._ids is not None else self._index()
+        sid = ids.get(sent)
+        if sid is None:
+            sid = ids[sent] = len(self.sentences)
+            self.sentences.append(sent)
+        return sid
+
+    def get(self, sent: Sentence) -> int | None:
+        """The id of ``sent``, or ``None`` if it was never seen."""
+        return self._index().get(sent)
 
 
 class Vocabulary:

@@ -38,7 +38,7 @@ from typing import Callable, Iterable
 from .events import EventKind, Trace
 from .mapping import Mapping, MappingGraph, MappingOrigin
 from .multiq import MultiQuestionEngine, Question, QuestionWatcher
-from .nouns import Sentence, Vocabulary
+from .nouns import Sentence, SentenceTable, Vocabulary
 from .questions import SentencePattern
 
 __all__ = [
@@ -66,8 +66,13 @@ class ActiveSentenceSet:
         transition.
     vocabulary:
         Optional :class:`~repro.core.nouns.Vocabulary`; when given, every
-        notified sentence is interned through it, so membership lookups hit
-        canonical instances (identity equality, cached hash) on the hot path.
+        sentence is interned through it before it gets a sid (:meth:`sid`).
+    table:
+        Optional :class:`~repro.core.nouns.SentenceTable` numbering the
+        run's sentences; membership is keyed on its ids, and the sid entry
+        points (:meth:`activate_sid`, :meth:`deactivate_sid`) take them.
+        The node SASes of one run share one, so an id names one sentence
+        on every node.  Default: a table of this SAS's own.
     """
 
     def __init__(
@@ -77,6 +82,7 @@ class ActiveSentenceSet:
         interest: Callable[[Sentence], bool] | None = None,
         trace: Trace | None = None,
         vocabulary: Vocabulary | None = None,
+        table: SentenceTable | None = None,
     ):
         self._ticks = 0
         self.clock = clock if clock is not None else self._tick
@@ -84,10 +90,13 @@ class ActiveSentenceSet:
         self.interest = interest
         self.trace = trace
         self.vocabulary = vocabulary
-        # active multiset: sentence -> stack of activation times; a key is
+        # the run's sentence ids (one table per run: a tool hands every node
+        # SAS the same one); membership and the engine are keyed on them
+        self.table = table if table is not None else SentenceTable()
+        # active multiset: sid -> stack of activation times; a key is
         # inserted at the outermost activation and deleted at the last
         # deactivation, so key order is first-activation order
-        self._active: dict[Sentence, list[float]] = {}
+        self._active: dict[int, list[float]] = {}
         # evaluates the attached questions; created by the first one
         self._engine: MultiQuestionEngine | None = None
         self.notifications = 0
@@ -114,53 +123,69 @@ class ActiveSentenceSet:
 
         Any part of an application (user code, programming libraries, or
         system level code) may call this and "need not know about the
-        existence of other layers to do so".
+        existence of other layers to do so".  Costs one table lookup
+        (:meth:`sid`) over :meth:`activate_sid`.
         """
-        self.notifications += 1
+        return self.activate_sid(self.sid(sent))
+
+    def deactivate(self, sent: Sentence) -> bool:
+        """A sentence became inactive.  Returns False if filtered/unknown."""
+        return self.deactivate_sid(self.sid(sent))
+
+    def sid(self, sent: Sentence) -> int:
+        """The id of ``sent`` in :attr:`table`, interned through the
+        vocabulary first if there is one."""
         if self.vocabulary is not None:
             sent = self.vocabulary.intern(sent)
+        return self.table.sid(sent)
+
+    def activate_sid(self, sid: int) -> bool:
+        """:meth:`activate` of the sentence ``sid`` in :attr:`table`."""
+        self.notifications += 1
+        sent = self.table.sentences[sid]
         if self.interest is not None and not self.interest(sent):
             self.ignored_notifications += 1
             return False
         now = self.clock()
-        stack = self._active.setdefault(sent, [])
-        became_member = not stack
-        if became_member:
+        active = self._active
+        stack = active.get(sid)
+        if stack is None:
             if self.co_active_listeners:
-                for other in self._active:
-                    if other != sent:
-                        for cb in self.co_active_listeners:
-                            cb(other, sent, now)
-        stack.append(now)
+                sentences = self.table.sentences
+                for other in active:
+                    for cb in self.co_active_listeners:
+                        cb(sentences[other], sent, now)
+            active[sid] = [now]
+        else:
+            stack.append(now)
         if self.trace is not None:
             self.trace.record(now, EventKind.ACTIVATE, sent, self.node_id)
-        if became_member and self._engine is not None:
-            self._engine.membership_change(sent, True, now)
+        if stack is None and self._engine is not None:
+            self._engine.membership_change_sid(sid, True, now)
         self.transition_epoch += 1
         for cb in self.on_transition:
             cb(sent, True, now)
         return True
 
-    def deactivate(self, sent: Sentence) -> bool:
-        """A sentence became inactive.  Returns False if filtered/unknown."""
+    def deactivate_sid(self, sid: int) -> bool:
+        """:meth:`deactivate` of the sentence ``sid`` in :attr:`table`."""
         self.notifications += 1
-        if self.vocabulary is not None:
-            sent = self.vocabulary.intern(sent)
+        sent = self.table.sentences[sid]
         if self.interest is not None and not self.interest(sent):
             self.ignored_notifications += 1
             return False
-        stack = self._active.get(sent)
+        stack = self._active.get(sid)
         if not stack:
             raise ValueError(f"deactivate of non-active sentence {sent}")
         now = self.clock()
         stack.pop()
         left_membership = not stack
         if left_membership:
-            del self._active[sent]
+            del self._active[sid]
         if self.trace is not None:
             self.trace.record(now, EventKind.DEACTIVATE, sent, self.node_id)
         if left_membership and self._engine is not None:
-            self._engine.membership_change(sent, False, now)
+            self._engine.membership_change_sid(sid, False, now)
         self.transition_epoch += 1
         for cb in self.on_transition:
             cb(sent, False, now)
@@ -172,17 +197,18 @@ class ActiveSentenceSet:
     # ------------------------------------------------------------------
     def active_sentences(self) -> tuple[Sentence, ...]:
         """Snapshot of active sentences in first-activation order (Figure 5)."""
-        return tuple(self._active)
+        return tuple(map(self.table.sentences.__getitem__, self._active))
 
     def active_with_times(self) -> list[tuple[Sentence, float]]:
         """Active sentences paired with their outermost activation time."""
-        return [(s, stack[0]) for s, stack in self._active.items()]
+        sentences = self.table.sentences
+        return [(sentences[sid], stack[0]) for sid, stack in self._active.items()]
 
     def is_active(self, sent: Sentence) -> bool:
-        return sent in self._active
+        return self.table.get(sent) in self._active
 
     def activation_depth(self, sent: Sentence) -> int:
-        return len(self._active.get(sent, ()))
+        return len(self._active.get(self.table.get(sent), ()))
 
     def __len__(self) -> int:
         return len(self._active)
@@ -193,7 +219,7 @@ class ActiveSentenceSet:
         Without a vocabulary, falls back to grouping by level name in
         activation order.
         """
-        order = list(self._active)
+        order = list(self.active_sentences())
         if vocab is None:
             seen: list[str] = []
             for s in order:
@@ -217,7 +243,7 @@ class ActiveSentenceSet:
         share one watcher, whose ``question`` is the first of them.
         """
         if self._engine is None:
-            self._engine = MultiQuestionEngine()
+            self._engine = MultiQuestionEngine(table=self.table)
             self._engine.seed(self.active_with_times())
         now = self.clock() if self._active else 0.0
         return self._engine.subscribe(question, now=now).watcher

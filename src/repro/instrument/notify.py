@@ -50,11 +50,12 @@ class SentenceNotifier:
         self._site_overrides: dict[str, bool] = {}
         self.notifications = 0
         self.suppressed = 0  # calls at disabled sites (no cost, no SAS)
-        # delivered-activation balance per node and sentence: a deactivation
-        # is always delivered when its activation was, even if the site was
-        # disabled in between -- toggling sites mid-sentence must never
-        # leave a SAS with an unbalanced multiset
-        self._pending: list[dict[Sentence, int]] = [{} for _ in self.sas_by_node]
+        # delivered-activation balance per node and sentence id (in that
+        # node SAS's table): a deactivation is always delivered when its
+        # activation was, even if the site was disabled in between --
+        # toggling sites mid-sentence must never leave a SAS with an
+        # unbalanced multiset
+        self._pending: list[dict[int, int]] = [{} for _ in self.sas_by_node]
 
     # -- site management (driven by the tool) ------------------------------
     def enable_all(self) -> None:
@@ -77,14 +78,7 @@ class SentenceNotifier:
     # -- notifications (called from executing application code) -------------
     def activate(self, node_id: int, site: str, sentence: Sentence) -> float:
         """Notify activation; returns the run-time cost to charge."""
-        if not self.site_enabled(site):
-            self.suppressed += 1
-            return 0.0
-        self.notifications += 1
-        balance = self._pending[node_id]
-        balance[sentence] = balance.get(sentence, 0) + 1
-        self.sas_by_node[node_id].activate(sentence)
-        return self.notify_cost
+        return self.activate_sid(node_id, site, self.sas_by_node[node_id].sid(sentence))
 
     def deactivate(self, node_id: int, site: str, sentence: Sentence) -> float:
         """Notify deactivation; returns the run-time cost to charge.
@@ -92,15 +86,32 @@ class SentenceNotifier:
         Delivered exactly when the matching activation was delivered, so
         dynamically toggling a site can never unbalance a SAS.
         """
+        return self.deactivate_sid(node_id, site, self.sas_by_node[node_id].sid(sentence))
+
+    def activate_sid(self, node_id: int, site: str, sid: int) -> float:
+        """:meth:`activate` of the sentence ``sid`` of the node SAS
+        (:meth:`~repro.core.sas.ActiveSentenceSet.sid`); the CMRTS
+        dispatcher calls this."""
+        if not self._site_overrides.get(site, self._all_enabled):
+            self.suppressed += 1
+            return 0.0
+        self.notifications += 1
         balance = self._pending[node_id]
-        pending = balance.get(sentence, 0)
+        balance[sid] = balance.get(sid, 0) + 1
+        self.sas_by_node[node_id].activate_sid(sid)
+        return self.notify_cost
+
+    def deactivate_sid(self, node_id: int, site: str, sid: int) -> float:
+        """:meth:`deactivate` of the sentence ``sid`` of the node SAS."""
+        balance = self._pending[node_id]
+        pending = balance.get(sid, 0)
         if pending > 0:
             if pending == 1:
-                del balance[sentence]
+                del balance[sid]
             else:
-                balance[sentence] = pending - 1
+                balance[sid] = pending - 1
             self.notifications += 1
-            self.sas_by_node[node_id].deactivate(sentence)
+            self.sas_by_node[node_id].deactivate_sid(sid)
             return self.notify_cost
         self.suppressed += 1
         return 0.0

@@ -28,6 +28,7 @@ from ..core import (
     CostVector,
     MergePolicy,
     Sentence,
+    SentenceTable,
     SplitPolicy,
     Trace,
 )
@@ -115,9 +116,13 @@ class Paradyn:
         self.sases: list[ActiveSentenceSet] = []
         self.notifier: SentenceNotifier | None = None
         if enable_sas:
+            # one sentence table for the run: a sid names one sentence on
+            # every node, from the dispatcher's notification to the engine
+            table = SentenceTable()
             self.sases = [
                 ActiveSentenceSet(
-                    clock=sim.now_reader(), node_id=i, trace=self.trace if i == 0 else None
+                    clock=sim.now_reader(), node_id=i, trace=self.trace if i == 0 else None,
+                    table=table,
                 )
                 for i in range(self.machine.num_nodes)
             ]

@@ -33,9 +33,15 @@ from typing import Callable, Iterable, Sequence
 
 from ..core.events import EventKind, SentenceEvent
 from ..core.multiq import MultiQuestionEngine
-from ..core.nouns import Sentence
+from ..core.nouns import Sentence, SentenceTable
 from ..core.questions import OrderedQuestion, PerformanceQuestion, QExpr, SentencePattern
-from .scan import filtered_intervals, membership_changes, parallel_intervals, question_sids
+from .scan import (
+    feed_membership_changes,
+    filtered_intervals,
+    membership_changes,
+    parallel_intervals,
+    question_sids,
+)
 from .store import ALL_NODES
 
 __all__ = [
@@ -116,6 +122,22 @@ class RetroAnswer:
     end_time: float
 
 
+def _sid_plan(reader, questions, end_time, node):
+    """``(sids, node, end)`` of a columnar replay: the union sentence-id
+    set of the questions, the node filter (``ALL_NODES``: none) and the
+    resolved end time."""
+    # static reachability shrinks the union scan set: a table-dead
+    # conjunction can never flip, so its patterns' events need not be
+    # replayed at all (answers stay byte-identical; pinned by
+    # tests/trace/test_retro_batch.py)
+    sids = question_sids(reader.sentences, questions, prune_dead=True)
+    want = ALL_NODES if node is None else node
+    if end_time is None:
+        last_t = reader.last_transition_time(node=want)
+        end_time = last_t if last_t is not None else 0.0
+    return sids, want, end_time
+
+
 def batch_event_plan(
     source,
     questions: Sequence[PerformanceQuestion | QExpr | OrderedQuestion],
@@ -138,24 +160,15 @@ def batch_event_plan(
 
     Every other source (row reader, in-memory trace, iterable) replays its
     events.  Returns ``(events, node_filtered, end)``: ``node_filtered``
-    says ``events`` are the columnar membership changes ``(sentence,
-    joined, time)``, ``node`` filter applied; otherwise they are the
-    source's :class:`SentenceEvent`\\ s.  ``end`` is the resolved end time
-    (``None`` means "last replayed event's time", resolved by the caller).
+    says ``events`` are the columnar membership changes ``(sid, joined,
+    time)``, ``node`` filter applied; otherwise they are the source's
+    :class:`SentenceEvent`\\ s.  ``end`` is the resolved end time (``None``
+    means "last replayed event's time", resolved by the caller).
     """
-    end = end_time
     if hasattr(source, "segment_rows"):
-        # static reachability shrinks the union scan set: a table-dead
-        # conjunction can never flip, so its patterns' events need not
-        # be replayed at all (answers stay byte-identical; pinned by
-        # tests/trace/test_retro_batch.py)
-        sids = question_sids(source.sentences, questions, prune_dead=True)
-        want = ALL_NODES if node is None else node
-        if end is None:
-            last_t = source.last_transition_time(node=want)
-            end = last_t if last_t is not None else 0.0
+        sids, want, end = _sid_plan(source, questions, end_time, node)
         return membership_changes(source, sids, want), True, end
-    return _iter_events(source), False, end
+    return _iter_events(source), False, end_time
 
 
 def replay_batch(
@@ -172,34 +185,36 @@ def replay_batch(
     for an event replay, transitions) it fed, never when ``chunk`` is 0,
     so an asynchronous caller (``repro serve``) can flush streamed
     intervals between chunks; it returns the end time answers close at.
-    Columnar membership changes go straight to
-    :meth:`~repro.core.multiq.MultiQuestionEngine.membership_change`,
-    which a live SAS feeds too; events go through
+    On a columnar reader the engine, which must be fresh, is bound to the
+    file's sentence table, and the membership changes go by sentence id
+    straight to
+    :meth:`~repro.core.multiq.MultiQuestionEngine.membership_change_sid`,
+    which a live SAS feeds too
+    (:func:`~repro.trace.scan.feed_membership_changes`); events go through
     :meth:`~repro.core.multiq.MultiQuestionEngine.transition`, which
     counts nesting itself.
     """
-    events, node_filtered, end = batch_event_plan(source, questions, end_time, node)
-    fed = 0
-    if node_filtered:
-        change = engine.membership_change
-        for sent, joined, t in events:
-            change(sent, joined, t)
-            fed += 1
-            if fed == chunk:
-                fed = 0
-                yield
+    if hasattr(source, "segment_rows"):
+        sids, want, end = _sid_plan(source, questions, end_time, node)
+        engine.table = SentenceTable(source.sentences)
+        yield from feed_membership_changes(
+            source, sids, want, engine.membership_change_sid, chunk
+        )
         return end
+    fed = 0
     last = 0.0
-    for event in events:
+    transition = engine.transition
+    activate = EventKind.ACTIVATE
+    for event in _iter_events(source):
         if node is not None and event.node_id != node:
             continue
         last = event.time
-        engine.transition(event.sentence, event.kind is EventKind.ACTIVATE, last)
+        transition(event.sentence, event.kind is activate, last)
         fed += 1
         if fed == chunk:
             fed = 0
             yield
-    return end if end is not None else last
+    return end_time if end_time is not None else last
 
 
 def evaluate_question_batch(

@@ -191,7 +191,7 @@ def test_lattice_equals_brute_force(pats, shards):
         for key, ids in shard.roots.items():
             assert all(nodes[i].pattern.index_key() == key for i in ids)
     for sent in SENTENCES:
-        assert engine._match_nodes(sent) == tuple(
+        assert engine._match_nodes(engine.table.sid(sent)) == tuple(
             n.pid for n in nodes if n.pattern.matches(sent)
         )
 
