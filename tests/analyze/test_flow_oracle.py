@@ -228,15 +228,15 @@ def test_proven_conservative_graph_shows_no_dynamic_leak():
 
     from repro.analyze import analyze_flow, sanitize_trace
     from repro.pif import load as load_pif
-    from repro.trace import TraceReader
+    from repro.trace import open_trace
 
     repo = Path(__file__).resolve().parents[2]
-    fig6 = repo / "benchmarks" / "out" / "sample_fig6.rtrc"
+    fig6 = repo / "benchmarks" / "out" / "sample_fig6.rtrcx"
     doc = load_pif(str(repo / "examples" / "fragment.pif"))
     report = analyze_flow(doc)
     assert report.conservative  # the static proof ...
     if not fig6.exists():
         pytest.skip("sample trace not present")
-    diags = sanitize_trace(TraceReader(str(fig6)), doc, "sample_fig6.rtrc")
+    diags = sanitize_trace(open_trace(str(fig6)), doc, "sample_fig6.rtrcx")
     # ... and the dynamic audit agree: no whole-level attribution leak
     assert not any(d.code == "NV013" for d in diags)
