@@ -1,6 +1,9 @@
-"""Ablation 10: the columnar ``.rtrcx`` backend vs row ``.rtrc`` replay.
+"""Ablation 10: the columnar ``.rtrcx`` store vs row-layout replay.
 
-One trace, two layouts, four workloads:
+One trace, two layouts, four workloads.  The row side is the layout the
+columnar store replaced -- one varint record per transition plus a SAS
+snapshot frame every 256 -- kept as a baseline in
+``benchmarks/row_baseline.py``:
 
 * **seek**: reconstructing the SAS at random times through the columnar
   segment index vs the row snapshot index vs a bare linear replay;
@@ -12,8 +15,9 @@ One trace, two layouts, four workloads:
   sentences;
 * **Figure-7 attribution**: the lag-window producer/consumer match on the
   asynchronous unixsim run, answers byte-identical across layouts;
-* **lint**: ``repro lint`` trace sanitization throughput on both layouts,
-  plus the parallel segment scan (``--jobs``) on the columnar file.
+* **lint**: trace sanitization throughput on both layouts (``repro lint``
+  on the columnar file, ``sanitize_trace`` over the row reader), plus the
+  parallel segment scan (``--jobs``) on the columnar file.
 
 Two side measurements ride along: the vectorized windowed-mapping pairing
 kernel (``_window_pairs``) vs the seed's quadratic cross product, and a
@@ -35,15 +39,13 @@ import sys
 import tempfile
 import time
 
-from repro.analyze import Severity, lint_paths
+from repro.analyze import Severity, lint_paths, sanitize_trace
 from repro.core import PerformanceQuestion, SentencePattern
 from repro.paradyn import text_table
 from repro.trace import (
     ColumnarTraceReader,
+    ColumnarTraceWriter,
     SASState,
-    TraceReader,
-    TraceWriter,
-    convert,
     evaluate_questions,
     parse_pattern,
     sentence_intervals,
@@ -52,6 +54,7 @@ from repro.trace import (
 from repro.trace.retro import _window_pairs
 from repro.unixsim import FunctionSpec, run_figure7_study
 from repro.workloads import random_trace
+from row_baseline import RowBaselineReader, RowBaselineWriter
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -83,19 +86,20 @@ def _best_of(fn, rounds: int) -> float:
 
 
 def _build_pair(tmpdir: str):
-    """The shared workload recorded as row, then converted to columnar."""
+    """The shared workload recorded in both layouts."""
     events_n, nodes, sentences, cadence, seg_records = TRACE_SCALE
     trace = random_trace(7, events=events_n, nodes=nodes, sentences=sentences)
-    row_path = os.path.join(tmpdir, "abl10.rtrc")
-    with TraceWriter(row_path, snapshot_every=cadence) as w:
+    row_path = os.path.join(tmpdir, "abl10.rowb")
+    with RowBaselineWriter(row_path, snapshot_every=cadence) as w:
         w.record_trace(trace)
     col_path = os.path.join(tmpdir, "abl10.rtrcx")
-    convert(row_path, col_path, segment_records=seg_records)
+    with ColumnarTraceWriter(col_path, segment_records=seg_records) as w:
+        w.record_trace(trace)
     return trace, row_path, col_path
 
 
 def _measure_seek(trace, row_path: str, col_path: str) -> dict:
-    row = TraceReader(row_path)
+    row = RowBaselineReader(row_path)
     col = ColumnarTraceReader(col_path)
     t0, t1 = row.time_bounds()
     rng = random.Random(99)
@@ -126,7 +130,7 @@ def _measure_seek(trace, row_path: str, col_path: str) -> dict:
 
 def _measure_query(row_path: str, col_path: str) -> dict:
     """A Figure-6-shaped conjunction over two interned sentences."""
-    row = TraceReader(row_path)
+    row = RowBaselineReader(row_path)
     col = ColumnarTraceReader(col_path)
     sents = sorted(row.sentences, key=str)
     a, b = sents[0], sents[1]
@@ -163,11 +167,12 @@ def _measure_query(row_path: str, col_path: str) -> dict:
 
 
 def _measure_fig7(tmpdir: str) -> dict:
-    row_path = os.path.join(tmpdir, "fig7.rtrc")
-    with TraceWriter(row_path) as w:
+    row_path = os.path.join(tmpdir, "fig7.rowb")
+    with RowBaselineWriter(row_path) as w:
         out = run_figure7_study(script=FIG7_SCRIPT, causal=False, recorder=w)
     col_path = os.path.join(tmpdir, "fig7.rtrcx")
-    convert(row_path, col_path)
+    with ColumnarTraceWriter(col_path) as w:
+        run_figure7_study(script=FIG7_SCRIPT, causal=False, recorder=w)
     producers = parse_pattern("{? WriteCall}@UNIX Process")
     consumers = parse_pattern("{? DiskWrite}@UNIX Kernel")
 
@@ -179,13 +184,13 @@ def _measure_fig7(tmpdir: str) -> dict:
             reader_cls(path), producers, consumers, window=FIG7_WINDOW, key=key
         )
 
-    row_res = run(row_path, TraceReader)
+    row_res = run(row_path, RowBaselineReader)
     col_res = run(col_path, ColumnarTraceReader)
     assert row_res.counts == col_res.counts == {
         f: n for f, n in out.ground_truth.items() if n
     }
     assert row_res.unattributed == col_res.unattributed == 0
-    row_t = _best_of(lambda: run(row_path, TraceReader), QUERY_ROUNDS)
+    row_t = _best_of(lambda: run(row_path, RowBaselineReader), QUERY_ROUNDS)
     col_t = _best_of(lambda: run(col_path, ColumnarTraceReader), QUERY_ROUNDS)
     return {
         "counts": dict(row_res.counts),
@@ -196,10 +201,14 @@ def _measure_fig7(tmpdir: str) -> dict:
 
 
 def _measure_lint(row_path: str, col_path: str) -> dict:
-    for path in (row_path, col_path):  # lint must pass on both layouts
-        assert not lint_paths([path]).fails(Severity.ERROR)
+    def row_lint():
+        return sanitize_trace(RowBaselineReader(row_path), None, row_path)
 
-    row_t = _best_of(lambda: lint_paths([row_path]), QUERY_ROUNDS)
+    # lint must pass on both layouts
+    assert not any(d.severity >= Severity.ERROR for d in row_lint())
+    assert not lint_paths([col_path]).fails(Severity.ERROR)
+
+    row_t = _best_of(row_lint, QUERY_ROUNDS)
     col_t = _best_of(lambda: lint_paths([col_path]), QUERY_ROUNDS)
     par_t = _best_of(lambda: lint_paths([col_path], jobs=2), 1)
     serial = sentence_intervals(ColumnarTraceReader(col_path))
@@ -407,7 +416,7 @@ def test_abl10_columnar(benchmark, save_artifact, artifact_dir, merge_bench):
          f"{lint['columnar_s']:.4f}", f"{lint['speedup']:.1f}x"),
     ]
     text = (
-        "Ablation 10 -- columnar .rtrcx backend vs row .rtrc replay\n\n"
+        "Ablation 10 -- columnar .rtrcx store vs row-layout replay\n\n"
         f"workload: {seek['events']:,} transitions, {seek['segments']} segments\n\n"
         + text_table(rows, headers=("workload", "row", "columnar", "columnar wins"))
         + "\n\n"

@@ -1,4 +1,4 @@
-"""Ablation 9: the persistent trace store (.rtrc) and retrospective mapping.
+"""Ablation 9: the persistent trace store (.rtrcx) and retrospective mapping.
 
 Four claims, one artifact:
 
@@ -15,12 +15,13 @@ Four claims, one artifact:
   covering the kernel's flush delay recovers the ground-truth write counts
   exactly -- a mapping the live SAS *cannot* make;
 * **indexed seek**: reconstructing the SAS at an arbitrary time via the
-  snapshot index beats a linear replay from the start of the trace.
+  segment index (each segment opens with a SAS snapshot) beats a linear
+  replay from the start of the trace.
 
 Quick mode (``REPRO_BENCH_QUICK=1``, the CI bench-smoke job) shrinks scales
 but keeps every assertion.  Machine-readable numbers land in
 ``benchmarks/out/BENCH_trace.json``; the recorded Figure-6 run is kept as
-``benchmarks/out/sample_fig6.rtrc`` so CI archives a real trace file.
+``benchmarks/out/sample_fig6.rtrcx`` so CI archives a real trace file.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from repro.paradyn import Paradyn, text_table
 from repro.trace import (
     ColumnarTraceWriter,
     SASState,
-    TraceReader,
-    TraceWriter,
     evaluate_questions,
+    open_trace,
     parse_pattern,
     windowed_attribution,
     windowed_mappings,
@@ -54,7 +54,7 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 #: overhead workload: (db clients, queries, timing rounds per side).
 #: Not shrunk under QUICK -- a shorter run makes the ratio noise-dominated.
 DB_SCALE = (8, 120, 21)
-#: seek workload: (events, snapshot cadence, indexed probes, linear probes)
+#: seek workload: (events, segment records, indexed probes, linear probes)
 SEEK_SCALE = (4_000, 128, 60, 8) if QUICK else (20_000, 256, 200, 12)
 
 #: the paper's four Figure-6 questions (same shapes as test_fig6_questions)
@@ -156,7 +156,7 @@ def _fig6_retro_vs_live(sample_path: str) -> dict:
     program = compile_source(HPF_FRAGMENT, "fragment.cmf")
     tool = Paradyn.for_program(program, num_nodes=4)
     watchers = {q.name: tool.sases[0].attach_question(q) for q in FIG6_QUESTIONS}
-    writer = TraceWriter(sample_path, metadata={"study": "fig6", "nodes": 4})
+    writer = ColumnarTraceWriter(sample_path, metadata={"study": "fig6", "nodes": 4})
     tool.record_to(writer, nodes=[0])
     tool.run()
     writer.close()
@@ -165,7 +165,7 @@ def _fig6_retro_vs_live(sample_path: str) -> dict:
         name: (w.total_satisfied_time(tool.elapsed), w.transitions)
         for name, w in watchers.items()
     }
-    reader = TraceReader(sample_path)
+    reader = open_trace(sample_path)
     answers = evaluate_questions(
         reader, FIG6_QUESTIONS, end_time=tool.elapsed, node=0
     )
@@ -180,10 +180,10 @@ def _fig6_retro_vs_live(sample_path: str) -> dict:
 
 def _fig7_window_recovery(tmpdir: str) -> dict:
     """Asynchronous run: co-activity fails, a lag window recovers truth."""
-    path = os.path.join(tmpdir, "fig7.rtrc")
-    with TraceWriter(path) as w:
+    path = os.path.join(tmpdir, "fig7.rtrcx")
+    with ColumnarTraceWriter(path) as w:
         out = run_figure7_study(script=FIG7_SCRIPT, causal=False, recorder=w)
-    reader = TraceReader(path)
+    reader = open_trace(path)
     producers = parse_pattern("{? WriteCall}@UNIX Process")
     consumers = parse_pattern("{? DiskWrite}@UNIX Kernel")
 
@@ -216,10 +216,10 @@ def _measure_seek(tmpdir: str) -> dict:
     """Indexed seek vs linear replay on a large synthetic trace."""
     events_n, cadence, n_indexed, n_linear = SEEK_SCALE
     trace = random_trace(3, events=events_n, nodes=4)
-    path = os.path.join(tmpdir, "seek.rtrc")
-    with TraceWriter(path, snapshot_every=cadence) as w:
+    path = os.path.join(tmpdir, "seek.rtrcx")
+    with ColumnarTraceWriter(path, segment_records=cadence) as w:
         w.record_trace(trace)
-    reader = TraceReader(path)
+    reader = open_trace(path)
     t0, t1 = reader.time_bounds()
     rng = random.Random(1234)
     probes = [rng.uniform(t0, t1) for _ in range(n_indexed)]
@@ -240,7 +240,7 @@ def _measure_seek(tmpdir: str) -> dict:
         assert reader.seek(t) == SASState.from_events(events, t)
     return {
         "events": reader.transitions,
-        "snapshots": len(reader.snapshots),
+        "segments": len(reader.segments),
         "seeks_per_sec": 1.0 / seek_per_probe,
         "linear_replays_per_sec": 1.0 / linear_per_probe,
         "seek_speedup": linear_per_probe / seek_per_probe,
@@ -258,7 +258,7 @@ def run_experiment(sample_path: str) -> dict:
 
 
 def test_abl9_trace_store(benchmark, save_artifact, artifact_dir, merge_bench):
-    sample_path = str(artifact_dir / "sample_fig6.rtrc")
+    sample_path = str(artifact_dir / "sample_fig6.rtrcx")
     r = benchmark.pedantic(lambda: run_experiment(sample_path), rounds=1, iterations=1)
     ov, fig6, fig7, seek = r["overhead"], r["fig6"], r["fig7"], r["seek"]
 
@@ -287,8 +287,8 @@ def test_abl9_trace_store(benchmark, save_artifact, artifact_dir, merge_bench):
     assert fig7["window_unattributed"] == 0
     assert fig7["window_mappings"] > 0
 
-    # the snapshot index pays for itself: seek beats linear replay
-    assert seek["snapshots"] > 1
+    # the segment index pays for itself: seek beats linear replay
+    assert seek["segments"] > 1
     assert seek["seek_speedup"] > 2.0, (
         f"indexed seek only {seek['seek_speedup']:.2f}x a linear replay"
     )
@@ -312,7 +312,7 @@ def test_abl9_trace_store(benchmark, save_artifact, artifact_dir, merge_bench):
         "fig7_window_s": FIG7_WINDOW,
         "fig7_max_lag_ms": fig7["max_lag_ms"],
         "seek_events": seek["events"],
-        "seek_snapshots": seek["snapshots"],
+        "seek_segments": seek["segments"],
         "seeks_per_sec": seek["seeks_per_sec"],
         "linear_replays_per_sec": seek["linear_replays_per_sec"],
         "seek_speedup": seek["seek_speedup"],
@@ -346,7 +346,7 @@ def test_abl9_trace_store(benchmark, save_artifact, artifact_dir, merge_bench):
         f"({fig7['live_unattributed']} writes unattributable live)\n"
         f"  lag window {FIG7_WINDOW * 1e3:.0f} ms         : {fig7['window_counts']} "
         f"== ground truth (max lag {fig7['max_lag_ms']:.2f} ms)\n\n"
-        f"indexed seek ({seek['events']} events, {seek['snapshots']} snapshots):\n"
+        f"indexed seek ({seek['events']} events, {seek['segments']} segments):\n"
         f"  seek       : {seek['seeks_per_sec']:>10,.0f} states/s\n"
         f"  linear     : {seek['linear_replays_per_sec']:>10,.0f} states/s"
         f"  (seek {seek['seek_speedup']:.1f}x faster)\n\n"

@@ -4,7 +4,7 @@ Regenerates the paper's timeline (user process | kernel | SAS contents) and
 quantifies the limitation: disk writes deferred past the caller's lifetime
 cannot be attributed by the SAS alone, while the causal-tag extension
 recovers ground truth exactly.  A second, untagged run is recorded to a
-``.rtrc`` trace to show the post-mortem alternative: a lag-windowed
+``.rtrcx`` trace to show the post-mortem alternative: a lag-windowed
 retrospective replay recovers the same ground truth with no kernel support.
 """
 
@@ -14,8 +14,8 @@ import tempfile
 from repro.core import EventKind
 from repro.paradyn import text_table
 from repro.trace import (
-    TraceReader,
-    TraceWriter,
+    ColumnarTraceWriter,
+    open_trace,
     parse_pattern,
     windowed_attribution,
     windowed_mappings,
@@ -40,10 +40,10 @@ def _retro_attribution():
         return s.nouns[0].name[:-2]
 
     with tempfile.TemporaryDirectory() as tmpdir:
-        path = os.path.join(tmpdir, "fig7.rtrc")
-        with TraceWriter(path) as w:
+        path = os.path.join(tmpdir, "fig7.rtrcx")
+        with ColumnarTraceWriter(path) as w:
             run_figure7_study(script=SCRIPT, causal=False, recorder=w)
-        reader = TraceReader(path)
+        reader = open_trace(path)
         live = windowed_attribution(reader, producers, consumers, window=0.0, key=key)
         retro = windowed_attribution(reader, producers, consumers, window=WINDOW, key=key)
         maps_live = windowed_mappings(reader, src_filter=producers, dst_filter=consumers)
@@ -125,7 +125,7 @@ def test_fig7_async(benchmark, save_artifact):
         " with the help of the SAS alone)",
         f"causal-tag absolute error: {out.causal_error()} writes",
         "",
-        "retrospective lag-window mapping (untagged run, .rtrc replay):",
+        "retrospective lag-window mapping (untagged run, .rtrcx replay):",
         f"  co-activity (window 0)  : {dict(live.counts)} "
         f"({live.unattributed} writes unattributable)",
         f"  lag window {WINDOW * 1e3:.0f} ms        : {dict(retro.counts)} "

@@ -11,7 +11,7 @@ information:
   declared vocabulary (NV009-NV010);
 * :mod:`.cmfpass` -- compiled CM Fortran IR: arrays without mapping
   points, mapping points without uses (NV011-NV012);
-* :mod:`.sanitize` -- recorded ``.rtrc`` runs cross-checked against the
+* :mod:`.sanitize` -- recorded ``.rtrcx`` runs cross-checked against the
   static declarations: attribution leaks and dead declarations
   (NV013-NV016);
 * :mod:`.flow` -- abstract interpretation over the full mapping graph,

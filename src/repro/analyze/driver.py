@@ -1,7 +1,7 @@
 """The lint driver: classify inputs, run every pass, format results.
 
 ``lint_paths`` is what ``repro lint`` calls.  Inputs are classified by
-extension (``.pif``, ``.mdl``, ``.cmf``/``.fcm``, ``.rtrc``) and
+extension (``.pif``, ``.mdl``, ``.cmf``/``.fcm``, ``.rtrcx``) and
 processed in dependency order: PIF and CM Fortran sources first (they
 build the static context), then MDL (checked against that context's
 vocabulary), then traces (sanitized against the merged static
@@ -83,15 +83,12 @@ def _error_col(exc: Exception) -> int | None:
 
 def _classify(path: str) -> str:
     lower = path.lower()
-    # .rtrcx before .rtrc would not matter for endswith, but keep both
-    # spellings explicit: the two trace layouts lint identically
     for ext, kind in (
         (".pif", "pif"),
         (".mdl", "mdl"),
         (".cmf", "cmf"),
         (".fcm", "cmf"),
-        (".rtrcx", "rtrc"),
-        (".rtrc", "rtrc"),
+        (".rtrcx", "trace"),
     ):
         if lower.endswith(ext):
             return kind
@@ -107,7 +104,7 @@ def lint_paths(
     """Run every applicable analyzer pass over the given input files.
 
     ``jobs > 1`` fans trace sanitization's interval scan across the sweep
-    worker pool (columnar ``.rtrcx`` inputs only; row files scan serially).
+    worker pool.
     ``deep`` adds the whole-program semantic passes: attribution-flow
     conservation proofs (NV017/NV018), mapping-derived question analysis
     (NV019/NV020), and MDL guard satisfiability (NV021).
@@ -115,12 +112,12 @@ def lint_paths(
     result = LintResult(inputs=list(paths))
     out = result.diagnostics
 
-    by_kind: dict[str, list[str]] = {"pif": [], "mdl": [], "cmf": [], "rtrc": []}
+    by_kind: dict[str, list[str]] = {"pif": [], "mdl": [], "cmf": [], "trace": []}
     for path in paths:
         kind = _classify(path)
         if kind == "unknown":
             out.append(
-                diag("NV000", "unrecognized input type (expected .pif/.mdl/.cmf/.rtrc/.rtrcx)", path)
+                diag("NV000", "unrecognized input type (expected .pif/.mdl/.cmf/.rtrcx)", path)
             )
         else:
             by_kind[kind].append(path)
@@ -217,10 +214,10 @@ def lint_paths(
 
     # ---- traces, sanitized against every static document
     static_docs = [doc for _path, doc in docs]
-    if by_kind["rtrc"]:
+    if by_kind["trace"]:
         from ..trace.columnar import open_trace
         from .sanitize import sanitize_trace
-    for path in by_kind["rtrc"]:
+    for path in by_kind["trace"]:
         try:
             reader = open_trace(path)
         except Exception as exc:

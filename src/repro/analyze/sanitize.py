@@ -4,7 +4,7 @@ The paper's SAS limitations section observes that attribution silently
 fails when lower-level activity is neither statically mapped nor
 concurrently active with anything at the top abstraction -- the cost
 exists in the run but no higher-level sentence can ever be charged for
-it.  This module replays a recorded ``.rtrc`` trace and checks every
+it.  This module replays a recorded ``.rtrcx`` trace and checks every
 observed sentence against both attribution channels:
 
 * **static**: a chain of PIF MAPPING records (plus any dynamic mapping
@@ -87,13 +87,13 @@ def sanitize_trace(
 ) -> list[Diagnostic]:
     """Check a recorded run's attribution coverage (NV013-NV016).
 
-    ``reader`` is a row or columnar trace reader (or anything
-    :func:`sentence_intervals` accepts).  ``static_docs`` supplies the PIF
-    mapping records declared for the run -- one document or several (each
-    resolved in its own namespace); ``level_ranks`` overrides the
-    level-name -> rank table (default: the docs' LEVEL records over the
-    built-in study vocabularies).  ``jobs > 1`` computes the activation
-    intervals with the parallel segment scan (columnar readers only).
+    ``reader`` is a trace reader (or anything :func:`sentence_intervals`
+    accepts).  ``static_docs`` supplies the PIF mapping records declared
+    for the run -- one document or several (each resolved in its own
+    namespace); ``level_ranks`` overrides the level-name -> rank table
+    (default: the docs' LEVEL records over the built-in study
+    vocabularies).  ``jobs > 1`` computes the activation intervals with the
+    parallel segment scan (columnar readers only).
     """
     if static_docs is None:
         docs: list[PIFDocument] = []

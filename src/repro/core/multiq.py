@@ -136,6 +136,7 @@ class PatternNode:
     entries: list[tuple[int, float]] = field(default_factory=list)
     parents: list[int] = field(default_factory=list)  # subsuming nodes (same shard)
     children: list[int] = field(default_factory=list)  # subsumed nodes (same shard)
+    #: these four sets hold subscription ids (``Subscription.sub_id``)
     expr_subs: set[int] = field(default_factory=set)
     ordered_subs: set[int] = field(default_factory=set)
     #: unsatisfied conjunctions waiting on this (zero-count) node
@@ -191,9 +192,13 @@ class QuestionWatcher:
 
 @dataclass(eq=False)
 class Subscription:
-    """One compiled question: its node references and shared watcher."""
+    """One compiled question: its node references and shared watcher.
 
-    sid: int
+    ``sub_id`` is the subscription's index in its engine -- not a sentence
+    id (``sid``), which the engine keys membership on.
+    """
+
+    sub_id: int
     name: str
     question: Question
     kind: str  # "conj" | "expr" | "ordered"
@@ -242,6 +247,7 @@ class MultiQuestionEngine:
         self._nodes: list[PatternNode] = []
         self._by_pattern: dict[SentencePattern, int] = {}
         self._subs: list[Subscription] = []
+        # subscription ids (positions in _subs) by structural key and by name
         self._by_key: dict[tuple, int] = {}
         self._names: dict[str, int] = {}
         self.table = table if table is not None else SentenceTable()
@@ -418,10 +424,10 @@ class MultiQuestionEngine:
                 and w.transitions < 2
                 and (not w.satisfied or w.satisfied_since == now)
             ):
-                self._names.setdefault(effective_name, sub.sid)
+                self._names.setdefault(effective_name, sub.sub_id)
                 return sub
         sub = Subscription(
-            sid=len(self._subs),
+            sub_id=len(self._subs),
             name=effective_name,
             question=question,
             kind=kind,
@@ -432,8 +438,8 @@ class MultiQuestionEngine:
             key=key,
         )
         self._subs.append(sub)
-        self._by_key[key] = sub.sid
-        self._names.setdefault(sub.name, sub.sid)
+        self._by_key[key] = sub.sub_id
+        self._names.setdefault(sub.name, sub.sub_id)
         for nid in set(nids):
             node = self._nodes[nid]
             if kind == "ordered":
@@ -451,9 +457,9 @@ class MultiQuestionEngine:
                         ),
                         key=lambda st: st[1],
                     )
-                node.ordered_subs.add(sub.sid)
+                node.ordered_subs.add(sub.sub_id)
             elif kind == "expr":
-                node.expr_subs.add(sub.sid)
+                node.expr_subs.add(sub.sub_id)
         if kind == "conj":
             self._watch(sub)
         sub.watcher._apply(self._evaluate(sub), now)
@@ -493,7 +499,7 @@ class MultiQuestionEngine:
                 not any(p.matches(s) for s in table) for p in components
             ):
                 dead.extend(
-                    name for name, sid in self._names.items() if sid == sub.sid
+                    name for name, sub_id in self._names.items() if sub_id == sub.sub_id
                 )
         return sorted(dead)
 
@@ -519,10 +525,10 @@ class MultiQuestionEngine:
         nodes = self._nodes
         for nid in sub.nids:
             if not nodes[nid].count:
-                nodes[nid].blocked.add(sub.sid)
+                nodes[nid].blocked.add(sub.sub_id)
                 return False
         for nid in sub.nids:
-            nodes[nid].sat.add(sub.sid)
+            nodes[nid].sat.add(sub.sub_id)
         return True
 
     def _move_on(self, node: PatternNode, satisfied: set[int]) -> None:
@@ -713,8 +719,8 @@ class MultiQuestionEngine:
         watchers would have accumulated.
         """
         out: dict[str, tuple[float, int, bool]] = {}
-        for name, sid in self._names.items():
-            w = self._subs[sid].watcher
+        for name, sub_id in self._names.items():
+            w = self._subs[sub_id].watcher
             out[name] = (w.total_satisfied_time(end_time), w.transitions, w.satisfied)
         return out
 

@@ -268,8 +268,8 @@ class ActiveSentenceSet:
 
         ``recorder`` is anything with a ``transition(time, kind, sentence,
         node_id)`` method -- normally a
-        :class:`~repro.trace.store.TraceWriter`.  Unlike ``trace=``, a
-        recorder can be shared by many SASes (each transition carries this
+        :class:`~repro.trace.columnar.ColumnarTraceWriter`.  Unlike
+        ``trace=``, a recorder can be shared by many SASes (each transition carries this
         SAS's ``node_id``) and attached/detached mid-run.  Returns the hook
         to pass to :meth:`detach_recorder`.
         """

@@ -78,8 +78,8 @@ def run_db_study(
     server's SAS ("server disk reads that correspond to a particular client
     or a particular query").
 
-    ``recorder`` (e.g. a :class:`~repro.trace.TraceWriter`) receives every
-    handled transition of every SAS -- client transitions under their node
+    ``recorder`` (e.g. a :class:`~repro.trace.ColumnarTraceWriter`) receives
+    every handled transition of every SAS -- client transitions under their node
     ids and the server's (including forwarded client state, which is the
     server's view) under the server node -- so the run can be re-queried
     post-mortem.

@@ -8,8 +8,8 @@ the Chrome trace-event format so a SAS timeline can be inspected in
 
 The trace exporters accept anything iterable over
 :class:`~repro.core.events.SentenceEvent` -- an in-memory
-:class:`~repro.core.Trace` or a :class:`~repro.trace.TraceReader` over a
-recorded ``.rtrc`` file -- and *stream*: pass ``out=`` (any text file
+:class:`~repro.core.Trace` or a :class:`~repro.trace.ColumnarTraceReader`
+over a recorded ``.rtrcx`` file -- and *stream*: pass ``out=`` (any text file
 object) to write rows as they are produced instead of building one giant
 string.  Without ``out`` the old return-a-string behaviour is kept.
 """

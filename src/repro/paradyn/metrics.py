@@ -120,7 +120,7 @@ class MetricManager:
         self.sample_interval: float | None = None
         # recorders receive every sample taken: objects with a
         # metric_sample(time, name, focus, value, units) method, normally a
-        # repro.trace.TraceWriter persisting the stream
+        # repro.trace.ColumnarTraceWriter persisting the stream
         self.recorders: list = []
         # Section 5's closing remark: "Eventually, we could tie the enabling
         # and disabling of individual mapping instrumentation points to

@@ -194,10 +194,11 @@ class Paradyn:
     def record_to(self, recorder, nodes: list[int] | None = None) -> None:
         """Stream this tool's dynamic record into a trace recorder.
 
-        Attaches ``recorder`` (normally a :class:`~repro.trace.TraceWriter`)
-        to every node SAS (or just ``nodes``) and to the metric sampler, so
-        the whole run persists for post-mortem analysis with
-        :mod:`repro.trace.retro`.  Call before :meth:`run`.
+        Attaches ``recorder`` (normally a
+        :class:`~repro.trace.ColumnarTraceWriter`) to every node SAS (or
+        just ``nodes``) and to the metric sampler, so the whole run persists
+        for post-mortem analysis with :mod:`repro.trace.retro`.  Call before
+        :meth:`run`.
         """
         if not self.sases:
             raise RuntimeError("trace recording needs the SAS enabled")

@@ -160,13 +160,12 @@ class _Client:
 class TraceSource:
     """Recorded-run source: one shared replay per batch, the one
     :func:`~repro.trace.retro.evaluate_question_batch` runs -- by sentence
-    id over the zone-map-kept rows of a columnar file, by event over a row
-    file."""
+    id over the zone-map-kept rows of the ``.rtrcx`` file."""
 
     def __init__(self, path: str, node: int | None = None):
         self.path = path
         self.node = node
-        self.reader = open_trace(path)  # suffix/magic-sniffed (.rtrc/.rtrcx)
+        self.reader = open_trace(path)
 
     def describe(self) -> str:
         return self.path

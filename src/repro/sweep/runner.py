@@ -34,7 +34,7 @@ seed's 0.79x "speedup" into a real one):
   ``multiprocessing.shared_memory`` segments, so no live
   ``MetricInstance``/SAS object -- and for large results not even the
   bytes -- ever crosses the pool pipe;
-* per-task ``.rtrc`` trace capture stays on the worker's disk: the summary
+* per-task ``.rtrcx`` trace capture stays on the worker's disk: the summary
   ships the file path plus its sha256, never the trace bytes.
 
 Tasks must be *describable* by a picklable spec: ``fn`` a module-level
@@ -84,7 +84,7 @@ class SweepTask:
     with different insertion orders compare (and hash) equal.
 
     ``capture_path`` -- when set -- is injected into ``fn``'s kwargs as
-    ``record_path``: the task function records its run to that ``.rtrc``
+    ``record_path``: the task function records its run to that ``.rtrcx``
     file and folds the file's path and sha256 into its summary, extending
     the serial-vs-parallel fingerprint to the recorded trace bytes without
     ever shipping them between processes.

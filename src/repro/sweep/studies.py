@@ -46,13 +46,13 @@ __all__ = [
 # trace capture (the sweep's opt-in per-task recording path)
 # ----------------------------------------------------------------------
 def _open_recorder(record_path: str | None, metadata: dict):
-    """A TraceWriter for the task's capture path, or None."""
+    """A ColumnarTraceWriter for the task's capture path, or None."""
     if record_path is None:
         return None
-    from ..trace import TraceWriter
+    from ..trace import ColumnarTraceWriter
 
     Path(record_path).parent.mkdir(parents=True, exist_ok=True)
-    return TraceWriter(record_path, metadata=metadata)
+    return ColumnarTraceWriter(record_path, metadata=metadata)
 
 
 def _capture_summary(writer) -> dict[str, Any]:
@@ -121,7 +121,7 @@ def db_task(
 def _capture_path(capture_dir: str | None, key: str) -> str | None:
     if capture_dir is None:
         return None
-    return str(Path(capture_dir) / (key.replace("/", "_") + ".rtrc"))
+    return str(Path(capture_dir) / (key.replace("/", "_") + ".rtrcx"))
 
 
 def db_grid(

@@ -1,18 +1,15 @@
 """Persistent trace store with retrospective mapping.
 
 The run's dynamic record -- SAS transitions, metric samples, dynamic
-mappings -- recorded to a compact binary ``.rtrc`` file
-(:class:`TraceWriter`), read back with indexed O(log n) seeks
-(:class:`TraceReader`), and analyzed post-mortem: live-identical Figure-6
-question evaluation, lag-windowed dynamic mappings that recover Figure 7's
-asynchronous activations, and per-sentence run diffs (:mod:`.retro`).
-
-The chunked columnar ``.rtrcx`` layout (:mod:`.columnar`) stores the same
-record per field, in time-sorted segments with zone maps and embedded SAS
-snapshots, read via mmap; :func:`open_trace` dispatches on a file's magic
-bytes and :func:`convert` moves runs losslessly between the two layouts.
-The common scan API (:mod:`.scan`) gives every retrospective consumer
-pushdown filtering and -- on columnar files -- parallel segment scans.
+mappings -- recorded to a columnar ``.rtrcx`` file
+(:class:`ColumnarTraceWriter`, :mod:`.columnar`): per-field arrays in
+time-sorted segments with zone maps and embedded SAS snapshots, read via
+mmap with :func:`open_trace` and O(log n) seeks.  Recorded runs are
+analyzed post-mortem: live-identical Figure-6 question evaluation,
+lag-windowed dynamic mappings that recover Figure 7's asynchronous
+activations, and per-sentence run diffs (:mod:`.retro`).  The common scan
+API (:mod:`.scan`) gives every retrospective consumer pushdown filtering
+and parallel segment scans.
 """
 
 from .._lazy import attach
@@ -22,7 +19,8 @@ __getattr__, __dir__, __all__ = attach(
     {
         "codec": ("CodecError",),
         "columnar": (
-            "ColumnarTraceReader", "ColumnarTraceWriter", "SegmentMeta", "convert", "open_trace",
+            "ColumnarTraceReader", "ColumnarTraceWriter", "MappingEvent", "MetricSample",
+            "SASState", "SegmentMeta", "open_trace",
         ),
         "retro": (
             "AttributionResult", "RetroAnswer", "SentenceStats", "TraceDiff", "WindowedMapping",
@@ -33,6 +31,5 @@ __getattr__, __dir__, __all__ = attach(
             "filtered_intervals", "matching_sids", "parallel_intervals", "question_sids",
             "scan_transitions",
         ),
-        "store": ("MappingEvent", "MetricSample", "SASState", "TraceReader", "TraceWriter"),
     },
 )

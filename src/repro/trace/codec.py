@@ -1,33 +1,18 @@
-"""Binary codec for the persistent trace store (``.rtrc`` files).
+"""Binary codec primitives of the ``.rtrcx`` trace store.
 
-The on-disk format is a compact append-only record stream framed with
-varints, designed so every value round-trips *exactly* (timestamps and
-metric values are IEEE-754 lossless) while staying small:
+Every value round-trips *exactly* (timestamps and metric values are
+IEEE-754 lossless) while the metadata around the columns stays small:
 
-* **varint framing** -- every record starts with a tag varint; payload
-  fields are unsigned varints (zigzag for signed values);
-* **interned string tables** -- level, noun, verb, metric, and focus names
-  are interned once per file (``DEF_STR``) and referenced by id; sentences
-  intern likewise (``DEF_SENT``) so a transition record is typically 4-6
-  bytes;
-* **delta-encoded timestamps** -- each timed record stores the XOR of its
-  time's IEEE-754 bits against the previous timed record's; nearby times
-  share their high (sign/exponent/top-mantissa) bits, so the XOR is a small
-  integer and the varint short.  Identical times (the simulator batches
-  same-instant events) cost one byte.  Snapshot records carry an absolute
-  time and reset the chain, so a reader can start decoding at any snapshot
-  offset.
-
-The record stream is followed by a footer that repeats the complete string
-and sentence tables plus the snapshot index, so :class:`~.store.TraceReader`
-can seek without scanning the stream; the trailer stores the footer offset.
-
-File layout::
-
-    header  := MAGIC "RTRC" | version u8 | meta_len varint | meta_json
-    records := (DEF_STR | DEF_SENT | TRANS | METRIC | MAPPING | SNAPSHOT)*
-    footer  := string table | sentence table | snapshot index | counts | bounds
-    trailer := footer_offset u64le | MAGIC_END "CRTR"
+* **varints** -- counts, ids, offsets and node fields are unsigned LEB128
+  varints (zigzag for signed values), bounded at 64 bits of payload so a
+  corrupt continuation bit cannot build an unbounded integer;
+* **interned string and sentence tables** -- level, noun, verb, metric,
+  and focus names are interned once per file and referenced by id; a
+  sentence is its verb and nouns as string ids.  Both tables are written
+  once, in the footer (:mod:`repro.trace.columnar`);
+* **checked reads** -- every length, count and float read is validated
+  against the bytes actually present and raises :class:`CodecError`, so
+  a mangled file fails loudly instead of crashing or allocating wildly.
 
 Noun/verb *descriptions* are not persisted: sentence identity is
 ``(name, abstraction)`` (descriptions are ``compare=False`` annotations),
@@ -42,15 +27,6 @@ from ..core.nouns import Noun, Sentence, Verb
 from ..core.mapping import MappingOrigin
 
 __all__ = [
-    "MAGIC",
-    "MAGIC_END",
-    "VERSION",
-    "TAG_DEF_STR",
-    "TAG_DEF_SENT",
-    "TAG_TRANS",
-    "TAG_METRIC",
-    "TAG_MAPPING",
-    "TAG_SNAPSHOT",
     "MAX_UVARINT_BYTES",
     "append_uvarint",
     "read_uvarint",
@@ -60,10 +36,6 @@ __all__ = [
     "decode_utf8",
     "zigzag",
     "unzigzag",
-    "float_to_bits",
-    "bits_to_float",
-    "delta_bits",
-    "undelta_bits",
     "encode_node",
     "decode_node",
     "StringTable",
@@ -71,23 +43,11 @@ __all__ = [
     "CodecError",
 ]
 
-MAGIC = b"RTRC"
-MAGIC_END = b"CRTR"
-VERSION = 1
-
-TAG_DEF_STR = 1  # len varint | utf-8 bytes             -> next string id
-TAG_DEF_SENT = 2  # verb(level,name) | n | n*(level,name) -> next sentence id
-TAG_TRANS = 3  # sent_id | flags(bit0 activate, rest node) | tdelta
-TAG_METRIC = 4  # name_sid | focus_sid | units_sid | tdelta | f64 value
-TAG_MAPPING = 5  # src_sent | dst_sent | origin | tdelta
-TAG_SNAPSHOT = 6  # f64 abs time | nevents | nentries | entries...
-
 _PACK_D = struct.Struct("<d")
-_PACK_Q = struct.Struct("<Q")
 
 
 class CodecError(ValueError):
-    """Malformed or truncated ``.rtrc``/``.rtrcx`` data."""
+    """Malformed or truncated ``.rtrcx`` data."""
 
 
 # ----------------------------------------------------------------------
@@ -177,36 +137,6 @@ def unzigzag(value: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# lossless float deltas
-# ----------------------------------------------------------------------
-def float_to_bits(value: float) -> int:
-    return _PACK_Q.unpack(_PACK_D.pack(value))[0]
-
-
-def bits_to_float(bits: int) -> float:
-    if bits >> 64:
-        # a corrupt varint can decode to more than 64 bits; don't let
-        # struct.error escape the codec boundary
-        raise CodecError(f"float bit pattern exceeds 64 bits: {bits:#x}")
-    return _PACK_D.unpack(_PACK_Q.pack(bits))[0]
-
-
-def delta_bits(prev_bits: int, bits: int) -> int:
-    """XOR delta of two IEEE-754 bit patterns.
-
-    Nearby floats share their high (sign/exponent/top-mantissa) bits, so
-    the XOR is a small integer and varints short; identical times XOR to 0
-    (one byte).  XOR is an involution given ``prev_bits``, hence exactly
-    lossless -- no subtraction rounding anywhere.
-    """
-    return prev_bits ^ bits
-
-
-def undelta_bits(prev_bits: int, delta: int) -> int:
-    return prev_bits ^ delta
-
-
-# ----------------------------------------------------------------------
 # small field codecs
 # ----------------------------------------------------------------------
 def encode_node(node_id: int | None) -> int:
@@ -227,30 +157,23 @@ ORIGIN_BY_CODE = {code: origin for origin, code in ORIGIN_CODES.items()}
 # interning tables
 # ----------------------------------------------------------------------
 class StringTable:
-    """Write-side string interner that emits ``DEF_STR`` records.
+    """Write-side string interner.
 
-    Ids are assigned densely in first-use order; the same order is used
-    when the table is re-serialized into the footer, so stream and footer
-    agree on every id.
+    Ids are assigned densely in first-use order, the order the table is
+    serialized in, so a reader's list index is the id.
     """
 
     def __init__(self) -> None:
         self._ids: dict[str, int] = {}
         self.strings: list[str] = []
 
-    def intern(self, text: str, buf: bytearray | None = None) -> int:
-        """Id of ``text``; a new string's ``DEF_STR`` goes to ``buf``
-        (``None``: the table alone, for writers that keep it in a footer)."""
+    def intern(self, text: str) -> int:
+        """Id of ``text``, assigning the next one to a new string."""
         sid = self._ids.get(text)
         if sid is None:
             sid = len(self.strings)
             self._ids[text] = sid
             self.strings.append(text)
-            if buf is not None:
-                raw = text.encode("utf-8")
-                append_uvarint(buf, TAG_DEF_STR)
-                append_uvarint(buf, len(raw))
-                buf += raw
         return sid
 
     def encode_table(self, buf: bytearray) -> None:
@@ -273,7 +196,7 @@ class StringTable:
 
 
 class SentenceTable:
-    """Write-side sentence interner that emits ``DEF_SENT`` records."""
+    """Write-side sentence interner over a :class:`StringTable`."""
 
     def __init__(self, strings: StringTable) -> None:
         self._strings = strings
@@ -281,28 +204,22 @@ class SentenceTable:
         self.sentences: list[Sentence] = []
         self._fields: list[list[int]] = []  # string ids, kept for the table
 
-    def intern(self, sent: Sentence, buf: bytearray | None = None) -> int:
-        """Id of ``sent``, interning its strings first; a new sentence's
-        ``DEF_STR``/``DEF_SENT`` records go to ``buf`` (``None``: none)."""
+    def intern(self, sent: Sentence) -> int:
+        """Id of ``sent``, interning its strings on first use."""
         sid = self._ids.get(sent)
         if sid is None:
             sid = len(self.sentences)
             self._ids[sent] = sid
             self.sentences.append(sent)
-            # string interning first, so DEF_STRs precede the DEF_SENT
-            fields = self._field_ids(sent, buf)
-            self._fields.append(fields)
-            if buf is not None:
-                append_uvarint(buf, TAG_DEF_SENT)
-                self._encode_fields(fields, buf)
+            self._fields.append(self._field_ids(sent))
         return sid
 
-    def _field_ids(self, sent: Sentence, buf: bytearray | None) -> list[int]:
+    def _field_ids(self, sent: Sentence) -> list[int]:
         intern = self._strings.intern
-        fields = [intern(sent.verb.abstraction, buf), intern(sent.verb.name, buf)]
+        fields = [intern(sent.verb.abstraction), intern(sent.verb.name)]
         for noun in sent.nouns:
-            fields.append(intern(noun.abstraction, buf))
-            fields.append(intern(noun.name, buf))
+            fields.append(intern(noun.abstraction))
+            fields.append(intern(noun.name))
         return fields
 
     @staticmethod
@@ -317,17 +234,6 @@ class SentenceTable:
         append_uvarint(buf, len(self.sentences))
         for fields in self._fields:
             self._encode_fields(fields, buf)
-
-    @staticmethod
-    def skip_fields(data, pos: int) -> int:
-        """Skip one encoded sentence (shared by stream skip and table)."""
-        _, pos = read_uvarint(data, pos)
-        _, pos = read_uvarint(data, pos)
-        nnouns, pos = read_uvarint(data, pos)
-        check_count(nnouns, pos, len(data), 2, "sentence noun")
-        for _ in range(2 * nnouns):
-            _, pos = read_uvarint(data, pos)
-        return pos
 
     @staticmethod
     def decode_fields(data, pos: int, strings: list[str]) -> tuple[Sentence, int]:

@@ -1,12 +1,16 @@
-"""Chunked columnar trace store (``.rtrcx``): mmap reads, zone-map pruning.
+"""The trace store (``.rtrcx``): columnar segments, mmap reads, zone maps.
 
-The row ``.rtrc`` stream (:mod:`repro.trace.store`) is the interchange
-format: compact, append-only, decoded record by record.  Every
-retrospective question, lag-window attribution, and trace-backed lint run
-pays that per-record varint loop even when it needs two fields of the
-events in one time range.  This module stores the same dynamic record
-*by column*, in time-sorted segments, so a query touches only the bytes
-its patterns need:
+A ``.rtrcx`` file is the durable form of a run's dynamic record -- SAS
+transitions, metric samples, and dynamic mapping events.  The writer
+doubles as a *recorder* in the sense the rest of the repo understands:
+anything exposing ``transition`` / ``metric_sample`` / ``mapping`` can be
+attached to an :class:`~repro.core.sas.ActiveSentenceSet` (via
+``sas.attach_recorder``), a :class:`~repro.paradyn.metrics.MetricManager`,
+or passed to the dbsim / unixsim studies' ``recorder=`` parameter.
+
+The record is stored *by column*, in time-sorted segments, so a
+retrospective question, lag-window attribution, or trace-backed lint run
+touches only the bytes its patterns need:
 
 * **per-field arrays** -- transition times, sentence ids, kind flags and
   node ids (and the metric/mapping fields) live in separate contiguous
@@ -26,10 +30,9 @@ its patterns need:
   ``info``/``time_bounds`` touch only footer pages, a pruned query only
   the pages of the segments and columns it decodes.
 
-A record-for-record lossless converter (:func:`convert`, surfaced as
-``repro trace convert``) moves runs between the two layouts; an ``ORDER``
-column preserves the original interleaving of transition / metric /
-mapping records so round-trips reproduce the stream exactly.
+An ``ORDER`` column keeps the interleaving of transition / metric /
+mapping records, so :meth:`ColumnarTraceReader.records` reproduces the
+recorded stream exactly.
 
 File layout::
 
@@ -71,26 +74,20 @@ from .codec import (
     read_f64,
     read_uvarint,
 )
-from .store import (
-    ALL_NODES,
-    MAGIC,
-    MappingEvent,
-    MetricSample,
-    SASState,
-    TraceReader,
-    TraceWriter,
-    map_readonly,
-)
 
 __all__ = [
     "MAGIC_X",
     "MAGIC_X_END",
     "VERSION_X",
+    "ALL_NODES",
+    "SASState",
+    "MetricSample",
+    "MappingEvent",
     "SegmentMeta",
     "ColumnarTraceWriter",
     "ColumnarTraceReader",
+    "map_readonly",
     "open_trace",
-    "convert",
 ]
 
 MAGIC_X = b"RTCX"
@@ -183,6 +180,138 @@ def _sid_rows(data, start: int, end: int, sids: Iterable[int], narrow: bool) -> 
     return rows
 
 
+#: sentinel distinguishing "no node filter" from "node None"
+ALL_NODES = object()
+
+
+def map_readonly(path: str):
+    """``mmap`` a file read-only.
+
+    Returns a buffer the codec helpers can index/slice without ever
+    loading the whole file into the process (``info`` on a multi-GB trace
+    touches only the pages the footer lives on).  Zero-length files --
+    which ``mmap`` rejects -- fall back to the empty bytes object; they
+    fail the magic check with a clean :class:`CodecError` either way.
+    """
+    with open(path, "rb") as fh:
+        try:
+            # the mapping stays valid after the descriptor closes
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            return fh.read()
+
+
+class SASState:
+    """Full multi-node SAS activation state at one instant.
+
+    ``nodes`` maps ``node_id -> {sentence: [activation times]}`` -- the same
+    multiset-of-stacks shape :class:`~repro.core.sas.ActiveSentenceSet`
+    keeps live, per recording node.  Equality compares the complete state
+    (membership, depths, and exact activation times) order-insensitively,
+    which is what the seek-vs-linear-replay property asserts.
+    """
+
+    __slots__ = ("nodes",)
+
+    def __init__(self) -> None:
+        self.nodes: dict[Any, dict[Sentence, list[float]]] = {}
+
+    def apply_transition(
+        self, sent: Sentence, activate: bool, time: float, node_id: int | None
+    ) -> None:
+        per = self.nodes.setdefault(node_id, {})
+        if activate:
+            per.setdefault(sent, []).append(time)
+        else:
+            stack = per.get(sent)
+            if not stack:
+                raise ValueError(
+                    f"deactivate without activate for {sent} on node {node_id}"
+                )
+            stack.pop()
+            if not stack:
+                del per[sent]
+                if not per:
+                    # no empty-node residue: state reached by any replay path
+                    # (from the start, or from a snapshot) compares equal
+                    del self.nodes[node_id]
+
+    def apply(self, event: SentenceEvent) -> None:
+        self.apply_transition(
+            event.sentence, event.kind is EventKind.ACTIVATE, event.time, event.node_id
+        )
+
+    def active(self, node: Any = ALL_NODES) -> tuple[Sentence, ...]:
+        """Active sentences, in first-recorded order (deduplicated)."""
+        if node is not ALL_NODES:
+            return tuple(self.nodes.get(node, {}))
+        seen: dict[Sentence, None] = {}
+        for per in self.nodes.values():
+            for sent in per:
+                seen.setdefault(sent, None)
+        return tuple(seen)
+
+    def depth(self, sent: Sentence, node: Any = ALL_NODES) -> int:
+        if node is not ALL_NODES:
+            return len(self.nodes.get(node, {}).get(sent, ()))
+        return sum(len(per.get(sent, ())) for per in self.nodes.values())
+
+    def total_activations(self) -> int:
+        return sum(len(stack) for per in self.nodes.values() for stack in per.values())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SASState):
+            return NotImplemented
+        return self.nodes == other.nodes
+
+    def __repr__(self) -> str:
+        per = {n: len(s) for n, s in self.nodes.items()}
+        return f"SASState(nodes={per})"
+
+    @classmethod
+    def from_events(cls, events: Iterable[SentenceEvent], time: float) -> "SASState":
+        """Linear-replay reference: state after all events with t <= ``time``."""
+        state = cls()
+        for event in events:
+            if event.time > time:
+                break
+            state.apply(event)
+        return state
+
+
+class MetricSample:
+    """One decoded metric sample record."""
+
+    __slots__ = ("time", "name", "focus", "value", "units")
+
+    def __init__(self, time: float, name: str, focus: str, value: float, units: str):
+        self.time = time
+        self.name = name
+        self.focus = focus
+        self.value = value
+        self.units = units
+
+    def __repr__(self) -> str:
+        return f"MetricSample({self.time:.6g}, {self.name}{self.focus}, {self.value:.6g})"
+
+
+class MappingEvent:
+    """One decoded dynamic-mapping record."""
+
+    __slots__ = ("time", "source", "destination", "origin")
+
+    def __init__(
+        self, time: float, source: Sentence, destination: Sentence, origin: MappingOrigin
+    ):
+        self.time = time
+        self.source = source
+        self.destination = destination
+        self.origin = origin
+
+    def __repr__(self) -> str:
+        return f"MappingEvent({self.time:.6g}, {self.source} -> {self.destination})"
+
+
 class SegmentMeta:
     """One segment's zone map: everything pruning needs, nothing decoded.
 
@@ -233,13 +362,14 @@ class SegmentMeta:
 class ColumnarTraceWriter:
     """Streams a run's dynamic record into a segmented ``.rtrcx`` file.
 
-    Exposes the same recorder protocol as :class:`~.store.TraceWriter`
-    (``transition`` / ``metric_sample`` / ``mapping``), so anything that
-    records to a row file records to a columnar one unchanged.  Every
+    A recorder (``transition`` / ``metric_sample`` / ``mapping``).  Every
     ``segment_records`` records the open segment is flushed with its zone
-    map, and the next segment opens with a full SAS snapshot -- the
-    columnar analogue of ``snapshot_every`` (it bounds both seek replay
-    and the granularity of segment pruning/parallel scans).
+    map, and the next segment opens with a full SAS snapshot, so
+    ``segment_records`` bounds both seek replay and the granularity of
+    segment pruning and parallel scans.  ``metadata`` is a
+    JSON-serializable dict stored in the header (study name, config...);
+    keep it free of wall-clock values when the file's bytes feed a
+    determinism fingerprint.
 
     Recording runs at the speed of the run it records: a record call only
     checks that the writer is open and appends to the open segment's
@@ -648,9 +778,7 @@ class ColumnarTraceReader:
 
     Opening decodes only the footer (tables + zone maps); record bytes are
     touched lazily, column by column, as scans demand them.  The event
-    iterators yield values equal, record for record, to what the row
-    reader yields on the same run -- the converter round-trip test pins
-    this for every shipped study trace.
+    iterators yield values equal, record for record, to what was recorded.
     """
 
     def __init__(self, path: str | Path):
@@ -933,8 +1061,14 @@ class ColumnarTraceReader:
                 raise CodecError(f"{self.path}: corrupt mapping column") from exc
 
     def records(self) -> Iterator[tuple]:
-        """Every record, interleaved in recorded order (see
-        :meth:`TraceReader.records`); reconstructed from the ORDER column."""
+        """Every record, interleaved in recorded order, ids resolved.
+
+        Yields ``("trans", time, sentence, activate, node_id)``,
+        ``("metric", time, name, focus, value, units)``, and
+        ``("map", time, source, destination, origin)`` tuples, rebuilt from
+        the ORDER column; segment snapshots are derived data and not
+        included.
+        """
         sentences = self.sentences
         strings = self.strings
         for i, seg in enumerate(self.segments):
@@ -1065,8 +1199,12 @@ class ColumnarTraceReader:
     # -- summaries -----------------------------------------------------------
     @property
     def is_empty(self) -> bool:
-        """True when the file holds no records at all (see
-        :meth:`TraceReader.is_empty` for why counts, not bounds, decide)."""
+        """True when the file holds no records at all.
+
+        Emptiness is derived from the persisted counts, not the bounds: the
+        footer records ``t0 == t1 == 0.0`` both for an empty trace and for a
+        real run spanning ``[0, 0]``, and the counts tell them apart.
+        """
         return not (self.transitions or self.metric_count or self.mapping_count)
 
     def time_bounds(self) -> tuple[float, float] | None:
@@ -1138,92 +1276,15 @@ class ColumnarTraceReader:
         self.close()
 
 
-# ----------------------------------------------------------------------
-# format dispatch + conversion
-# ----------------------------------------------------------------------
-def open_trace(path: str | Path) -> TraceReader | ColumnarTraceReader:
-    """Open a trace file of either format, dispatching on its magic bytes."""
+def open_trace(path: str | Path) -> ColumnarTraceReader:
+    """Open a ``.rtrcx`` trace file.
+
+    A file that cannot be read, or is not a columnar trace (a row
+    ``.rtrc`` file from before the columnar store included), raises
+    :class:`CodecError`.
+    """
     spath = str(path)
     try:
-        with open(spath, "rb") as fh:
-            magic = fh.read(4)
+        return ColumnarTraceReader(spath)
     except OSError as exc:
         raise CodecError(f"{spath}: cannot open: {exc}") from exc
-    if magic == MAGIC:
-        return TraceReader(spath)
-    if magic == MAGIC_X:
-        return ColumnarTraceReader(spath)
-    raise CodecError(f"{spath}: not a trace file (unknown magic {magic!r})")
-
-
-def _replay_records(reader, writer) -> int:
-    """Stream every record of ``reader`` into ``writer``, in order."""
-    n = 0
-    for rec in reader.records():
-        kind = rec[0]
-        if kind == "trans":
-            _, time, sent, activate, node = rec
-            writer.transition(
-                time,
-                EventKind.ACTIVATE if activate else EventKind.DEACTIVATE,
-                sent,
-                node,
-            )
-        elif kind == "metric":
-            _, time, name, focus, value, units = rec
-            writer.metric_sample(time, name, focus, value, units)
-        else:
-            _, time, src, dst, origin = rec
-            writer.mapping(time, src, dst, origin)
-        n += 1
-    return n
-
-
-def convert(
-    src: str | Path,
-    dst: str | Path,
-    *,
-    to: str | None = None,
-    segment_records: int = 4096,
-    snapshot_every: int = 1024,
-    metadata: dict | None = None,
-) -> dict:
-    """Losslessly convert between the row and columnar layouts.
-
-    The source format is sniffed from its magic bytes; the destination
-    defaults to the *other* layout (or to what the destination suffix
-    says), overridable with ``to="rtrc"``/``"rtrcx"``.  Metadata is
-    carried over unless ``metadata`` replaces it.  Returns a stats dict
-    (record count, byte sizes, formats).
-    """
-    reader = open_trace(src)
-    row_input = isinstance(reader, TraceReader)
-    if to is None:
-        suffix = str(dst).lower()
-        if suffix.endswith(".rtrc"):
-            to = "rtrc"
-        elif suffix.endswith(".rtrcx"):
-            to = "rtrcx"
-        else:
-            to = "rtrcx" if row_input else "rtrc"
-    if to not in ("rtrc", "rtrcx"):
-        raise ValueError(f"unknown target format {to!r} (use rtrc or rtrcx)")
-    meta = dict(reader.meta) if metadata is None else metadata
-    if to == "rtrcx":
-        writer = ColumnarTraceWriter(dst, segment_records=segment_records, metadata=meta)
-    else:
-        writer = TraceWriter(dst, snapshot_every=snapshot_every, metadata=meta)
-    try:
-        n = _replay_records(reader, writer)
-    finally:
-        writer.close()
-        reader.close()
-    return {
-        "source": str(src),
-        "destination": str(dst),
-        "from_format": "rtrc" if row_input else "rtrcx",
-        "to_format": to,
-        "records": n,
-        "source_bytes": Path(src).stat().st_size,
-        "destination_bytes": Path(dst).stat().st_size,
-    }

@@ -2,7 +2,7 @@
 
 The live SAS answers performance questions *as the run happens*; this module
 answers them *after* the run, from a recorded history (a
-:class:`~repro.trace.store.TraceReader`, an in-memory
+:class:`~repro.trace.columnar.ColumnarTraceReader`, an in-memory
 :class:`~repro.core.events.Trace`, or any event iterable):
 
 * :func:`evaluate_question_batch` (also exported as
@@ -29,20 +29,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from ..core.events import EventKind, SentenceEvent
+from ..core.events import EventKind
 from ..core.multiq import MultiQuestionEngine
 from ..core.nouns import Sentence, SentenceTable
 from ..core.questions import OrderedQuestion, PerformanceQuestion, QExpr, SentencePattern
+from .columnar import ALL_NODES
 from .scan import (
+    Matcher,
+    _as_predicate,
+    _iter_source_events,
     feed_membership_changes,
     filtered_intervals,
     membership_changes,
     parallel_intervals,
     question_sids,
 )
-from .store import ALL_NODES
 
 __all__ = [
     "RetroAnswer",
@@ -61,15 +64,6 @@ __all__ = [
     "trace_stats",
     "diff_traces",
 ]
-
-Matcher = Callable[[Sentence], bool] | SentencePattern
-
-
-def _as_matcher(matcher: Matcher) -> Callable[[Sentence], bool]:
-    if isinstance(matcher, SentencePattern):
-        return matcher.matches
-    return matcher
-
 
 def parse_pattern(text: str) -> SentencePattern:
     """Parse the Figure-6 rendering back into a pattern.
@@ -101,14 +95,6 @@ def parse_pattern(text: str) -> SentencePattern:
 def question_name(question: PerformanceQuestion | QExpr | OrderedQuestion) -> str:
     """The stable key a question's retro answer is reported under."""
     return getattr(question, "name", None) or str(question)
-
-
-def _iter_events(source) -> Iterable[SentenceEvent]:
-    """Accept a TraceReader, Trace, or any SentenceEvent iterable."""
-    events = getattr(source, "events", None)
-    if callable(events):
-        return events()
-    return source
 
 
 @dataclass
@@ -158,17 +144,18 @@ def batch_event_plan(
     bound instead (for a node filter, that node's last transition, found by
     walking the segments backwards; 0.0 when the node has none).
 
-    Every other source (row reader, in-memory trace, iterable) replays its
-    events.  Returns ``(events, node_filtered, end)``: ``node_filtered``
-    says ``events`` are the columnar membership changes ``(sid, joined,
-    time)``, ``node`` filter applied; otherwise they are the source's
-    :class:`SentenceEvent`\\ s.  ``end`` is the resolved end time (``None``
-    means "last replayed event's time", resolved by the caller).
+    Every other source (in-memory trace, iterable) replays its events.
+    Returns ``(events, node_filtered, end)``: ``node_filtered`` says
+    ``events`` are the columnar membership changes ``(sid, joined, time)``,
+    ``node`` filter applied; otherwise they are the source's
+    :class:`~repro.core.events.SentenceEvent`\\ s.  ``end`` is the resolved
+    end time (``None`` means "last replayed event's time", resolved by the
+    caller).
     """
     if hasattr(source, "segment_rows"):
         sids, want, end = _sid_plan(source, questions, end_time, node)
         return membership_changes(source, sids, want), True, end
-    return _iter_events(source), False, end_time
+    return _iter_source_events(source), False, end_time
 
 
 def replay_batch(
@@ -205,7 +192,7 @@ def replay_batch(
     last = 0.0
     transition = engine.transition
     activate = EventKind.ACTIVATE
-    for event in _iter_events(source):
+    for event in _iter_source_events(source):
         if node is not None and event.node_id != node:
             continue
         last = event.time
@@ -408,8 +395,8 @@ def windowed_mappings(
         else None  # either role unfiltered: every sentence participates
     )
     intervals = sentence_intervals(source, end_time, matchers=matchers, jobs=jobs)
-    src_ok = _as_matcher(src_filter) if src_filter is not None else lambda s: True
-    dst_ok = _as_matcher(dst_filter) if dst_filter is not None else lambda s: True
+    src_ok = _as_predicate(src_filter) if src_filter is not None else lambda s: True
+    dst_ok = _as_predicate(dst_filter) if dst_filter is not None else lambda s: True
     sources = [s for s in intervals if src_ok(s)]
     dests = [s for s in intervals if dst_ok(s)]
     counts, lags = _window_pairs(
@@ -471,8 +458,8 @@ def windowed_attribution(
     intervals = sentence_intervals(
         source, end_time, matchers=[producer, consumer], jobs=jobs
     )
-    prod_ok = _as_matcher(producer)
-    cons_ok = _as_matcher(consumer)
+    prod_ok = _as_predicate(producer)
+    cons_ok = _as_predicate(consumer)
     keyfn = key if key is not None else str
     # one entry per occurrence (interval), not per sentence
     prods = sorted(

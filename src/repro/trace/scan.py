@@ -12,8 +12,8 @@ over every trace source:
   predicate into a sentence-id set a columnar scan can push down;
 * :func:`scan_transitions` dispatches to the columnar reader's zone-map
   pruned column scan when the source supports it, and degrades to a plain
-  filtered replay for row readers, in-memory traces, and bare iterables --
-  callers never branch on the store layout;
+  filtered replay for in-memory traces and bare iterables -- callers never
+  branch on the source;
 * :func:`filtered_intervals` is :func:`~repro.trace.retro.sentence_intervals`
   with pushdown: per-sentence depth counting touches only the filtered
   sentences' events (exact, because depth is per-sentence state).  On a
@@ -44,7 +44,7 @@ from ..core.events import EventKind, SentenceEvent
 from ..core.nouns import Sentence
 from ..core.questions import OrderedQuestion, PerformanceQuestion, SentencePattern
 from .codec import encode_node
-from .store import ALL_NODES
+from .columnar import ALL_NODES, ColumnarTraceReader
 
 __all__ = [
     "matching_sids",
@@ -138,11 +138,11 @@ def scan_transitions(
 
     Columnar readers prune segments by zone map, decode only the
     transition columns and build events only for the rows their sid
-    search finds; every other source (row reader, in-memory trace, bare
-    iterable) replays with the same filters applied eventwise, so the
-    yielded stream is identical either way.  ``sids`` filters by sentence
-    table id (columnar/row readers only); ``matchers`` by pattern or
-    predicate (any source); both may combine.
+    search finds; every other source (in-memory trace, bare iterable)
+    replays with the same filters applied eventwise, so the yielded
+    stream is identical either way.  ``sids`` filters by sentence table id
+    (columnar readers only); ``matchers`` by pattern or predicate (any
+    source); both may combine.
     """
     fast = getattr(source, "scan_transitions", None)
     preds = [_as_predicate(m) for m in matchers] if matchers is not None else None
@@ -153,15 +153,9 @@ def scan_transitions(
         yield from fast(sids=sids, t_min=t_min, t_max=t_max, node=node)
         return
     if sids is not None:
-        table = getattr(source, "sentences", None)
-        if table is None:
-            raise TypeError(
-                "sid filtering needs a reader with a sentence table; "
-                "pass matchers= for plain event sources"
-            )
-        wanted = {table[i] for i in sids}
-    else:
-        wanted = None
+        raise TypeError(
+            "sid filtering needs a columnar reader; pass matchers= for plain event sources"
+        )
     for event in _iter_source_events(source):
         if t_min is not None and event.time < t_min:
             continue
@@ -169,17 +163,12 @@ def scan_transitions(
             break  # sources yield in recorded (monotone) time order
         if node is not ALL_NODES and event.node_id != node:
             continue
-        if wanted is not None and event.sentence not in wanted:
-            continue
         if preds is not None and not any(p(event.sentence) for p in preds):
             continue
         yield event
 
 
 def _last_transition_time(source) -> float | None:
-    get = getattr(source, "last_transition_time", None)
-    if callable(get):
-        return get()
     last = None
     for event in _iter_source_events(source):
         last = event.time
@@ -213,10 +202,7 @@ def filtered_intervals(
         )
     track_last = matchers is None and end_time is None
     if matchers is not None and end_time is None:
-        if not (
-            callable(getattr(source, "events", None))
-            or callable(getattr(source, "last_transition_time", None))
-        ):
+        if not callable(getattr(source, "events", None)):
             source = list(source)  # one-shot iterable: make it re-iterable
         end_time = _last_transition_time(source)
     depth: dict[Sentence, int] = {}
@@ -338,7 +324,7 @@ def feed_membership_changes(
 ) -> Iterator[None]:
     """Call ``change(sid, joined, time)`` for each membership change of the
     ``sids`` sentences (``None``: all) in a columnar reader's transitions
-    (``node``'s only, unless :data:`~repro.trace.store.ALL_NODES`), in
+    (``node``'s only, unless :data:`~repro.trace.columnar.ALL_NODES`), in
     recorded order.
 
     Depth counts per sentence id in a list, over only the rows
@@ -419,8 +405,6 @@ _READER_CACHE: dict[str, Any] = {}
 def _cached_reader(path: str):
     reader = _READER_CACHE.get(path)
     if reader is None:
-        from .columnar import ColumnarTraceReader
-
         reader = _READER_CACHE[path] = ColumnarTraceReader(path)
     return reader
 

@@ -75,7 +75,7 @@ def run_figure7_study(
 ) -> AttributionOutcome:
     """Run the user process + kernel and compare attribution strategies.
 
-    ``recorder`` (e.g. a :class:`~repro.trace.TraceWriter`) additionally
+    ``recorder`` (e.g. a :class:`~repro.trace.ColumnarTraceWriter`) additionally
     persists every SAS transition, so the asynchronous-activation case can
     be re-analyzed post-mortem with lag-windowed retrospective mapping
     (:func:`repro.trace.retro.windowed_attribution`).

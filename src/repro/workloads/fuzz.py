@@ -222,10 +222,10 @@ def random_trace(
     :func:`~repro.workloads.generators.sas_event_trace`) over one shared
     sentence pool are interleaved under a single globally-monotone clock;
     ``tie_bias`` controls how often consecutive events land on the *same*
-    instant (exercising tie ordering in merges, snapshots, and codec time
-    deltas).  Per-node causality holds by construction -- a deactivation
+    instant (exercising tie ordering in merges, snapshots, and segment
+    boundaries).  Per-node causality holds by construction -- a deactivation
     never precedes its activation on that node -- so the result replays
-    cleanly through a SAS, a :class:`~repro.trace.TraceWriter`, or the
+    cleanly through a SAS, a :class:`~repro.trace.ColumnarTraceWriter`, or the
     retrospective analyses.  Some activations stay open at the end.
     """
     from ..core import Trace

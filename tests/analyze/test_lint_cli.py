@@ -74,6 +74,6 @@ def test_shipped_examples_pass_the_error_gate(capsys):
 
 def test_runtime_errors_in_any_subcommand_exit_two(capsys, monkeypatch):
     monkeypatch.delenv("REPRO_DEBUG", raising=False)
-    rc = main(["trace", "info", "/nonexistent/ghost.rtrc"])
+    rc = main(["trace", "info", "/nonexistent/ghost.rtrcx"])
     assert rc == 2
     assert "repro: error:" in capsys.readouterr().err

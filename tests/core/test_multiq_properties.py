@@ -124,10 +124,10 @@ def test_engine_equals_naive_oracle(batch, script, shards):
     engine = MultiQuestionEngine(shards=shards)
     subs = [engine.subscribe(q, name=f"q{i}") for i, q in enumerate(with_duplicates(batch))]
     closed = [collect_intervals(sub.watcher) for sub in subs]
-    fired = []  # (time, sid) of every flip, in firing order
-    for sub in {sub.sid: sub for sub in subs}.values():
+    fired = []  # (time, sub_id) of every flip, in firing order
+    for sub in {sub.sub_id: sub for sub in subs}.values():
         for hooks in (sub.watcher.on_satisfied, sub.watcher.on_unsatisfied):
-            hooks.append(lambda now, sid=sub.sid: fired.append((now, sid)))
+            hooks.append(lambda now, sub_id=sub.sub_id: fired.append((now, sub_id)))
 
     oracle = [NaiveWatcher() for _ in subs]
     oracle_qs = with_duplicates(batch)

@@ -78,13 +78,13 @@ def test_exports_stream_to_file_objects(tmp_path):
 
 
 def test_exports_accept_a_trace_reader(tmp_path):
-    from repro.trace import TraceReader, TraceWriter
+    from repro.trace import ColumnarTraceWriter, open_trace
 
     tool = make_tool()
-    path = tmp_path / "run.rtrc"
-    with TraceWriter(path) as w:
+    path = tmp_path / "run.rtrcx"
+    with ColumnarTraceWriter(path) as w:
         w.record_trace(tool.trace)
-    reader = TraceReader(path)
+    reader = open_trace(path)
     # a recorded file exports identically to the in-memory trace
     assert trace_to_csv(reader) == trace_to_csv(tool.trace)
     assert trace_to_chrome(reader) == trace_to_chrome(tool.trace)

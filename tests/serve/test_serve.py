@@ -150,11 +150,13 @@ def test_node_filtered_batch_matches_trace_query(db_trace, capsys):
 @pytest.fixture(scope="module")
 def db_trace_64(tmp_path_factory):
     """A 40-query db recording in 64-record segments (360 transitions)."""
-    tmp = tmp_path_factory.mktemp("db64")
-    recorded, path = tmp / "db.rtrcx", tmp / "db64.rtrcx"
-    assert main(["trace", "record", "db", "--out", str(recorded),
-                 "--clients", "3", "--queries", "40"]) == 0
-    assert main(["trace", "convert", str(recorded), str(path), "--segment-events", "64"]) == 0
+    from repro.dbsim import Query, run_db_study
+    from repro.trace import ColumnarTraceWriter
+
+    path = tmp_path_factory.mktemp("db64") / "db64.rtrcx"
+    queries = [Query(f"Q{i}", disk_reads=(i % 4) + 1) for i in range(40)]
+    with ColumnarTraceWriter(path, segment_records=64) as w:
+        run_db_study(queries, num_clients=3, recorder=w)
     return str(path)
 
 
@@ -383,20 +385,22 @@ def test_serve_debug_reraises(monkeypatch):
 
 
 def test_trace_source_sniffs_both_formats(tmp_path):
-    row = tmp_path / "db.rtrc"
-    assert main(["trace", "record", "db", "--out", str(row)]) == 0
+    from repro.trace import CodecError
+
     col = tmp_path / "db.rtrcx"
-    assert main(["trace", "convert", str(row), str(col)]) == 0
-    # misleading suffix: open_trace sniffs the magic bytes, not the name
+    assert main(["trace", "record", "db", "--out", str(col)]) == 0
+    # misleading suffix: open_trace reads the magic bytes, not the name
     disguised = tmp_path / "actually_columnar.rtrc"
     disguised.write_bytes(col.read_bytes())
-    for path in (row, col, disguised):
+    for path in (col, disguised):
         source = TraceSource(str(path))
-        assert source.reader.__class__.__name__ in (
-            "TraceReader",
-            "ColumnarTraceReader",
-        )
+        assert source.reader.__class__.__name__ == "ColumnarTraceReader"
         source.close()
+    # the retired row layout's magic is refused, whatever the name
+    row = tmp_path / "db_row.rtrcx"
+    row.write_bytes(b"RTRC" + col.read_bytes()[4:])
+    with pytest.raises(CodecError):
+        TraceSource(str(row))
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ shared-memory and inline result transports -- must reproduce it
 byte-for-byte across a mixed db/unixsim/kernel grid carrying every
 observable kind this repo emits: metric counters, SAS transition logs,
 final virtual clocks, event-log samples, and (for the capture tests)
-sha256 digests of recorded ``.rtrc`` trace bytes.  Ten kernel seeds ride
+sha256 digests of recorded ``.rtrcx`` trace bytes.  Ten kernel seeds ride
 the grid so per-task RNG seeding is exercised well past coincidence.
 
 Result equality is asserted twice: structural (``SweepResult`` lists
@@ -90,7 +90,7 @@ def test_capture_fingerprints_extend_to_recorded_trace_bytes(tmp_path, oracle):
     for task, r in captured:
         # the path rides the task spec, the digest rides the summary --
         # trace bytes never cross the process boundary
-        assert task.capture_path.endswith(".rtrc")
+        assert task.capture_path.endswith(".rtrcx")
         assert len(r.value["trace_sha256"]) == 64
         assert r.value["trace_transitions"] > 0
 

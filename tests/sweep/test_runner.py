@@ -137,7 +137,7 @@ def _echo_record_path(record_path=None):
 
 class TestCapture:
     def test_capture_path_injected_as_record_path_kwarg(self, tmp_path):
-        dest = str(tmp_path / "t.rtrc")
+        dest = str(tmp_path / "t.rtrcx")
         tasks = [
             SweepTask("plain", _echo_record_path),
             SweepTask("captured", _echo_record_path, capture_path=dest),
@@ -147,8 +147,8 @@ class TestCapture:
         assert results[1].value == {"record_path": dest}
 
     def test_db_task_capture_is_deterministic(self, tmp_path):
-        a = db_task(num_clients=1, num_queries=2, record_path=str(tmp_path / "a.rtrc"))
-        b = db_task(num_clients=1, num_queries=2, record_path=str(tmp_path / "b.rtrc"))
+        a = db_task(num_clients=1, num_queries=2, record_path=str(tmp_path / "a.rtrcx"))
+        b = db_task(num_clients=1, num_queries=2, record_path=str(tmp_path / "b.rtrcx"))
         assert a["trace_sha256"] == b["trace_sha256"]
         assert a["trace_transitions"] == b["trace_transitions"] > 0
         # uncaptured runs agree on everything but the capture fields
@@ -158,12 +158,12 @@ class TestCapture:
     def test_unix_task_capture_matches_file_on_disk(self, tmp_path):
         import hashlib
 
-        from repro.trace import TraceReader
+        from repro.trace import open_trace
 
-        dest = tmp_path / "u.rtrc"
+        dest = tmp_path / "u.rtrcx"
         out = unix_task(writes=(2, 1), record_path=str(dest))
         assert out["trace_sha256"] == hashlib.sha256(dest.read_bytes()).hexdigest()
-        assert out["trace_transitions"] == TraceReader(dest).transitions
+        assert out["trace_transitions"] == open_trace(dest).transitions
 
     def test_capture_fingerprint_identical_serial_vs_parallel(self, tmp_path):
         def grid(sub):
@@ -180,9 +180,9 @@ class TestCapture:
 
     def test_grids_derive_capture_paths_from_keys(self, tmp_path):
         tasks = db_grid(clients=(1,), queries=(1,), transports=("bus",), capture_dir=str(tmp_path))
-        assert tasks[0].capture_path == str(tmp_path / "db_c1q1-bus.rtrc")
+        assert tasks[0].capture_path == str(tmp_path / "db_c1q1-bus.rtrcx")
         utasks = unix_grid(capture_dir=str(tmp_path))
-        assert all(t.capture_path.endswith(".rtrc") for t in utasks)
+        assert all(t.capture_path.endswith(".rtrcx") for t in utasks)
         assert all("/" not in t.capture_path.rsplit("/", 1)[-1] for t in utasks)
         plain = db_grid(clients=(1,), queries=(1,), transports=("bus",))
         assert plain[0].capture_path is None

@@ -164,7 +164,7 @@ def test_sweep_kernel_json_output(tmp_path, capsys):
 
 @pytest.fixture
 def db_rtrc(tmp_path):
-    path = tmp_path / "db.rtrc"
+    path = tmp_path / "db.rtrcx"
     assert (
         main(["trace", "record", "db", "--out", str(path), "--clients", "2", "--queries", "3"])
         == 0
@@ -173,7 +173,7 @@ def db_rtrc(tmp_path):
 
 
 def test_trace_record_reports_transitions(tmp_path, capsys):
-    dest = tmp_path / "db.rtrc"
+    dest = tmp_path / "db.rtrcx"
     assert main(["trace", "record", "db", "--out", str(dest)]) == 0
     out = capsys.readouterr().out
     assert "recorded 24 transitions" in out
@@ -181,7 +181,7 @@ def test_trace_record_reports_transitions(tmp_path, capsys):
 
 
 def test_trace_record_unix(tmp_path, capsys):
-    dest = tmp_path / "u.rtrc"
+    dest = tmp_path / "u.rtrcx"
     assert main(["trace", "record", "unix", "--out", str(dest), "--writes", "2,1"]) == 0
     assert "recorded 30 transitions" in capsys.readouterr().out
     assert dest.stat().st_size > 0
@@ -228,7 +228,7 @@ def test_trace_query_question_json(db_rtrc, capsys):
 def test_trace_query_windowed_mappings(tmp_path, capsys):
     # async flushes (--no-causal): the live co-activity rule (window 0) sees
     # no WriteCall -> DiskWrite mapping; a lag window recovers it (fig 7)
-    dest = tmp_path / "u.rtrc"
+    dest = tmp_path / "u.rtrcx"
     main(["trace", "record", "unix", "--out", str(dest), "--writes", "2,1", "--no-causal"])
     capsys.readouterr()
     assert main(["trace", "query", str(dest), "--mappings", "--window", "0.01"]) == 0
@@ -246,7 +246,7 @@ def test_trace_diff_identical_exits_zero(db_rtrc, capsys):
 
 
 def test_trace_diff_reports_changes_and_exits_one(db_rtrc, tmp_path, capsys):
-    other = tmp_path / "other.rtrc"
+    other = tmp_path / "other.rtrcx"
     main(["trace", "record", "db", "--out", str(other), "--clients", "2", "--queries", "4"])
     capsys.readouterr()
     assert main(["trace", "diff", db_rtrc, str(other)]) == 1
@@ -259,7 +259,7 @@ def test_trace_diff_reports_changes_and_exits_one(db_rtrc, tmp_path, capsys):
 def test_trace_diff_json(db_rtrc, tmp_path, capsys):
     import json
 
-    other = tmp_path / "other.rtrc"
+    other = tmp_path / "other.rtrcx"
     main(["trace", "record", "db", "--out", str(other), "--clients", "2", "--queries", "4"])
     capsys.readouterr()
     assert main(["trace", "diff", db_rtrc, str(other), "--json"]) == 1
@@ -270,7 +270,7 @@ def test_trace_diff_json(db_rtrc, tmp_path, capsys):
 
 
 def test_sweep_capture_writes_rtrc_and_fingerprints(tmp_path, capsys):
-    from repro.trace import TraceReader
+    from repro.trace import open_trace
 
     cap = tmp_path / "caps"
     rc = main(
@@ -286,8 +286,8 @@ def test_sweep_capture_writes_rtrc_and_fingerprints(tmp_path, capsys):
     assert rc == 0
     assert "byte-identical" in capsys.readouterr().out
     files = sorted(p.name for p in cap.iterdir())
-    assert files == ["db_c1q1-bus.rtrc", "db_c2q1-bus.rtrc"]
-    assert TraceReader(cap / files[0]).transitions > 0
+    assert files == ["db_c1q1-bus.rtrcx", "db_c2q1-bus.rtrcx"]
+    assert open_trace(cap / files[0]).transitions > 0
 
 
 def test_sweep_capture_rejects_kernel_study(tmp_path):

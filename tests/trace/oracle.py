@@ -58,13 +58,12 @@ from repro.trace.columnar import (
 class PerRecordColumnarWriter:
     """Streams a run's dynamic record into a segmented ``.rtrcx`` file.
 
-    Exposes the same recorder protocol as :class:`~.store.TraceWriter`
-    (``transition`` / ``metric_sample`` / ``mapping``), so anything that
-    records to a row file records to a columnar one unchanged.  Every
+    The recorder protocol (``transition`` / ``metric_sample`` /
+    ``mapping``) of :class:`repro.trace.ColumnarTraceWriter`.  Every
     ``segment_records`` records the open segment is flushed with its zone
-    map, and the next segment opens with a full SAS snapshot -- the
-    columnar analogue of ``snapshot_every`` (it bounds both seek replay
-    and the granularity of segment pruning/parallel scans).
+    map, and the next segment opens with a full SAS snapshot (it bounds
+    both seek replay and the granularity of segment pruning/parallel
+    scans).
     """
 
     def __init__(
@@ -85,7 +84,6 @@ class PerRecordColumnarWriter:
         header += raw
         self._fh.write(header)
         self._offset = len(header)
-        self._scratch = bytearray()  # interning sink; DEF_* records unused here
         self._strings = StringTable()
         self._sents = SentenceTable(self._strings)
         self._levels: dict[str, int] = {}
@@ -164,9 +162,9 @@ class PerRecordColumnarWriter:
     ) -> None:
         self._check_open()
         self._maybe_roll()
-        nsid = self._strings.intern(name, self._scratch)
-        fsid = self._strings.intern(focus, self._scratch)
-        usid = self._strings.intern(units, self._scratch)
+        nsid = self._strings.intern(name)
+        fsid = self._strings.intern(focus)
+        usid = self._strings.intern(units)
         self._clock(time)
         self._order.append(REC_METRIC)
         self._met_t.append(time)
@@ -216,7 +214,7 @@ class PerRecordColumnarWriter:
             raise ValueError(f"ColumnarTraceWriter({self.path}) is closed")
 
     def _intern_sentence(self, sentence: Sentence) -> int:
-        sid = self._sents.intern(sentence, self._scratch)
+        sid = self._sents.intern(sentence)
         if sid == len(self._sent_level):
             level = sentence.abstraction
             lid = self._levels.setdefault(level, len(self._levels))
@@ -344,7 +342,7 @@ class PerRecordColumnarWriter:
         self._sents.encode_table(footer)
         append_uvarint(footer, len(self._levels))
         for name in self._levels:  # insertion order == level id order
-            sid = self._strings.intern(name, self._scratch)
+            sid = self._strings.intern(name)
             append_uvarint(footer, sid)
         append_uvarint(footer, len(self._segments))
         for seg in self._segments:

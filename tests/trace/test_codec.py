@@ -1,4 +1,4 @@
-"""Unit tests for the .rtrc binary codec primitives."""
+"""Unit tests for the trace store's binary codec primitives."""
 
 import pytest
 
@@ -8,13 +8,9 @@ from repro.trace.codec import (
     SentenceTable,
     StringTable,
     append_uvarint,
-    bits_to_float,
     decode_node,
-    delta_bits,
     encode_node,
-    float_to_bits,
     read_uvarint,
-    undelta_bits,
     unzigzag,
     zigzag,
 )
@@ -70,36 +66,6 @@ class TestZigzag:
         assert zigzag(-2) == 3
 
 
-class TestFloatDeltas:
-    @pytest.mark.parametrize(
-        "prev,cur",
-        [
-            (0.0, 0.0),
-            (0.0, 1.5e-3),
-            (1.0000001, 1.0000002),
-            (1e300, -1e300),
-            (3.141592653589793, 3.141592653589793),
-            (0.1 + 0.2, 0.3),  # differ in the last bits only
-        ],
-    )
-    def test_exactly_lossless(self, prev, cur):
-        pb, cb = float_to_bits(prev), float_to_bits(cur)
-        assert bits_to_float(undelta_bits(pb, delta_bits(pb, cb))) == cur
-
-    def test_identical_times_cost_one_byte(self):
-        bits = float_to_bits(0.123456789)
-        buf = bytearray()
-        append_uvarint(buf, delta_bits(bits, bits))
-        assert len(buf) == 1
-
-    def test_nearby_times_compress(self):
-        # simulator-scale step: shared sign/exponent/high-mantissa bytes
-        prev, cur = 0.004117, 0.004118
-        buf = bytearray()
-        append_uvarint(buf, delta_bits(float_to_bits(prev), float_to_bits(cur)))
-        assert len(buf) <= 6  # vs 10 for a raw 8-byte varint
-
-
 class TestNodeField:
     @pytest.mark.parametrize("node", [None, 0, 1, -1, 63, 1024])
     def test_round_trip(self, node):
@@ -113,20 +79,16 @@ class TestNodeField:
 class TestStringTable:
     def test_intern_dedupes_and_emits_defs_once(self):
         table = StringTable()
-        buf = bytearray()
-        a = table.intern("alpha", buf)
-        b = table.intern("beta", buf)
-        a2 = table.intern("alpha", buf)
+        a = table.intern("alpha")
+        b = table.intern("beta")
+        a2 = table.intern("alpha")
         assert (a, b, a2) == (0, 1, 0)
-        first_len = len(buf)
-        table.intern("alpha", buf)
-        assert len(buf) == first_len  # no new DEF_STR for a known string
+        assert table.strings == ["alpha", "beta"]  # one entry per string
 
     def test_footer_table_round_trip(self):
         table = StringTable()
-        scratch = bytearray()
         for text in ["", "HPF", "Sum", "unicode éµ"]:
-            table.intern(text, scratch)
+            table.intern(text)
         footer = bytearray()
         table.encode_table(footer)
         decoded, pos = StringTable.decode_table(footer, 0)
@@ -138,15 +100,14 @@ class TestSentenceTable:
     def test_round_trip_preserves_identity_not_descriptions(self):
         strings = StringTable()
         table = SentenceTable(strings)
-        buf = bytearray()
         described = Sentence(
             Verb("Sum", "HPF", "summation of an array"),
             (Noun("A", "HPF", "the A array"),),
         )
         nullary = Sentence(Verb("Idle", "CMRTS"), ())
-        assert table.intern(described, buf) == 0
-        assert table.intern(nullary, buf) == 1
-        assert table.intern(described, buf) == 0  # deduped
+        assert table.intern(described) == 0
+        assert table.intern(nullary) == 1
+        assert table.intern(described) == 0  # deduped
 
         footer = bytearray()
         strings.encode_table(footer)
@@ -159,16 +120,3 @@ class TestSentenceTable:
         # identity is (name, abstraction): descriptions are compare=False
         assert decoded == [described, nullary]
         assert decoded[0].verb.description == ""
-
-    def test_skip_fields_matches_encoding_length(self):
-        strings = StringTable()
-        table = SentenceTable(strings)
-        buf = bytearray()
-        sent = Sentence(Verb("Send", "CMRTS"), (Noun("node0", "CMRTS"), Noun("A", "HPF")))
-        # interning emits DEF_STRs then the DEF_SENT; find the DEF_SENT start
-        table.intern(sent, buf)
-        fields = bytearray()
-        SentenceTable._encode_fields(
-            [0, 1, 2, 3, 4, 5], fields
-        )
-        assert SentenceTable.skip_fields(fields, 0) == len(fields)

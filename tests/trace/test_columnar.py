@@ -1,4 +1,9 @@
-"""Unit tests for the columnar ``.rtrcx`` backend and the common scan API."""
+"""Unit tests for the columnar ``.rtrcx`` store and the common scan API.
+
+The reference for every scan and retro answer is the in-memory
+:class:`~repro.core.events.Trace` the file was recorded from, replayed
+event by event.
+"""
 
 import random
 import re
@@ -14,9 +19,6 @@ from repro.sweep import SweepRunner
 from repro.trace import (
     ColumnarTraceReader,
     ColumnarTraceWriter,
-    TraceReader,
-    TraceWriter,
-    convert,
     evaluate_questions,
     filtered_intervals,
     matching_sids,
@@ -53,15 +55,12 @@ def mixed_trace_writer(w):
     w.transition(3.0, EventKind.ACTIVATE, B_SUM)  # node None, tied time
 
 
-def record_pair(tmp_path, trace, **columnar_kwargs):
-    """The same trace written through both backends; returns both readers."""
-    row = tmp_path / "t.rtrc"
+def record_columnar(tmp_path, trace, **columnar_kwargs):
+    """``trace`` written to a ``.rtrcx`` file; returns its reader."""
     col = tmp_path / "t.rtrcx"
-    with TraceWriter(row) as w:
-        w.record_trace(trace)
     with ColumnarTraceWriter(col, **columnar_kwargs) as w:
         w.record_trace(trace)
-    return TraceReader(row), ColumnarTraceReader(col)
+    return ColumnarTraceReader(col)
 
 
 class TestColumnarRoundTrip:
@@ -92,33 +91,39 @@ class TestColumnarRoundTrip:
         assert len(r.segments) > 1  # segment_records=3 forced a roll
 
     def test_records_preserve_interleaving(self, tmp_path):
-        row = tmp_path / "t.rtrc"
-        col = tmp_path / "t.rtrcx"
-        with TraceWriter(row) as w:
-            mixed_trace_writer(w)
-        with ColumnarTraceWriter(col, segment_records=2) as w:
-            mixed_trace_writer(w)
-        row_recs = list(TraceReader(row).records())
-        col_recs = list(ColumnarTraceReader(col).records())
-        assert row_recs == col_recs
-        assert [rec[0] for rec in row_recs] == [
-            "trans", "metric", "trans", "map", "trans",
-            "metric", "map", "trans", "trans",
+        want = [
+            ("trans", 1.0, A_SUM, True, 0),
+            ("metric", 1.25, "cpu_time", "node0", 0.125, "s"),
+            ("trans", 2.0, N0_SEND, True, 1),
+            ("map", 2.0, A_SUM, N0_SEND, MappingOrigin.DYNAMIC),
+            ("trans", 2.5, N0_SEND, False, 1),
+            ("metric", 2.5, "msgs", "", 42.0, ""),
+            ("map", 2.75, B_SUM, A_SUM, MappingOrigin.STATIC),
+            ("trans", 3.0, A_SUM, False, 0),
+            ("trans", 3.0, B_SUM, True, None),
         ]
+        for segment_records in (2, 4096):  # across segment boundaries, and in one
+            col = tmp_path / f"t{segment_records}.rtrcx"
+            with ColumnarTraceWriter(col, segment_records=segment_records) as w:
+                mixed_trace_writer(w)
+            assert list(ColumnarTraceReader(col).records()) == want
 
     @pytest.mark.parametrize("seed", [0, 7, 99])
     def test_random_trace_equivalence(self, tmp_path, seed):
         trace = random_trace(seed, events=180, nodes=3)
-        row, col = record_pair(tmp_path, trace, segment_records=32)
-        row_events = [(e.time, e.kind, e.sentence, e.node_id) for e in row]
-        col_events = [(e.time, e.kind, e.sentence, e.node_id) for e in col.events()]
-        assert row_events == col_events
-        assert row.time_bounds() == col.time_bounds()
-        assert row.transitions == col.transitions
+        col = record_columnar(tmp_path, trace, segment_records=32)
+        events = trace.events()
+        want = [(e.time, e.kind, e.sentence, e.node_id) for e in events]
+        assert [(e.time, e.kind, e.sentence, e.node_id) for e in col.events()] == want
+        assert col.time_bounds() == (events[0].time, events[-1].time)
+        assert col.transitions == len(events)
         info = col.info()
         assert info["format"] == "columnar"
-        assert info["transitions"] == row.info()["transitions"]
-        assert info["sentences_by_level"] == row.info()["sentences_by_level"]
+        assert info["transitions"] == len(events)
+        by_level: dict = {}
+        for sent in {e.sentence for e in events}:
+            by_level[sent.abstraction] = by_level.get(sent.abstraction, 0) + 1
+        assert info["sentences_by_level"] == by_level
 
     def test_metadata_round_trip(self, tmp_path):
         path = tmp_path / "t.rtrcx"
@@ -255,50 +260,26 @@ class TestColumnarWriterContract:
         assert (w.transitions, w.metric_samples_count, w.mappings_count) == (5, 2, 2)
 
 
-class TestConvert:
-    def roundtrip_records(self, reader):
-        return list(reader.records())
-
-    def test_row_to_columnar_to_row_is_lossless(self, tmp_path):
-        src = tmp_path / "a.rtrc"
-        with TraceWriter(src, metadata={"k": 1}) as w:
-            w.record_trace(random_trace(3, events=150, nodes=2))
-            mixed_trace_writer(w)  # random times stay below 1.0
-        mid = tmp_path / "b.rtrcx"
-        back = tmp_path / "c.rtrc"
-        stats = convert(src, mid, segment_records=16)
-        assert stats["from_format"] == "rtrc" and stats["to_format"] == "rtrcx"
-        convert(mid, back)
-        want = self.roundtrip_records(TraceReader(src))
-        assert self.roundtrip_records(ColumnarTraceReader(mid)) == want
-        assert self.roundtrip_records(TraceReader(back)) == want
-        assert TraceReader(back).meta == {"k": 1}
-
+class TestOpenTrace:
     def test_open_trace_sniffs_magic(self, tmp_path):
-        trace = random_trace(1, events=40)
-        row, col = record_pair(tmp_path, trace)
-        assert type(open_trace(row.path)) is TraceReader
+        col = record_columnar(tmp_path, random_trace(1, events=40))
         assert type(open_trace(col.path)) is ColumnarTraceReader
-
-    def test_convert_infers_target_from_suffix(self, tmp_path):
-        src = tmp_path / "a.rtrcx"
-        with ColumnarTraceWriter(src) as w:
-            w.transition(1.0, EventKind.ACTIVATE, A_SUM)
-        dst = tmp_path / "b.rtrc"
-        stats = convert(src, dst)
-        assert stats["to_format"] == "rtrc"
-        assert TraceReader(dst).transitions == 1
+        # the retired row layout's magic is not a trace any more
+        row = tmp_path / "t.rtrc"
+        row.write_bytes(b"RTRC" + open(col.path, "rb").read()[4:])
+        with pytest.raises(CodecError, match="not an .rtrcx"):
+            open_trace(row)
 
 
 class TestScanAPI:
     def test_scan_transitions_matches_filtered_replay(self, tmp_path):
         trace = random_trace(11, events=200, nodes=3)
-        row, col = record_pair(tmp_path, trace, segment_records=24)
-        pat = SentencePattern(row.sentences[0].verb.name, ("?",) * len(row.sentences[0].nouns))
+        col = record_columnar(tmp_path, trace, segment_records=24)
+        pat = SentencePattern(col.sentences[0].verb.name, ("?",) * len(col.sentences[0].nouns))
         for t_min, t_max in [(None, None), (0.0, None), (None, 0.02), (0.005, 0.05)]:
             want = [
                 (e.time, e.kind, e.sentence, e.node_id)
-                for e in scan_transitions(row, matchers=[pat], t_min=t_min, t_max=t_max)
+                for e in scan_transitions(trace, matchers=[pat], t_min=t_min, t_max=t_max)
             ]
             got = [
                 (e.time, e.kind, e.sentence, e.node_id)
@@ -306,9 +287,14 @@ class TestScanAPI:
             ]
             assert got == want
 
+    def test_sid_filter_needs_a_columnar_reader(self):
+        # sentence ids index a reader's table; an event source has none
+        with pytest.raises(TypeError, match="columnar reader"):
+            list(scan_transitions(random_trace(1, events=10), sids={0}))
+
     def test_zone_map_pruning_skips_segments(self, tmp_path):
         trace = random_trace(5, events=300, nodes=2, sentences=20)
-        _row, col = record_pair(tmp_path, trace, segment_records=16)
+        col = record_columnar(tmp_path, trace, segment_records=16)
         rare = trace.events()[0].sentence
         sids = matching_sids(col.sentences, [lambda s: s == rare])
         assert len(col.prune_segments(sids=sids)) < len(col.segments)
@@ -318,8 +304,8 @@ class TestScanAPI:
 
     def test_filtered_intervals_equals_postfiltered(self, tmp_path):
         trace = random_trace(21, events=250, nodes=2)
-        row, col = record_pair(tmp_path, trace, segment_records=32)
-        full = sentence_intervals(row)
+        col = record_columnar(tmp_path, trace, segment_records=32)
+        full = sentence_intervals(trace)
         target = sorted(full, key=str)[0]
         filt = filtered_intervals(col, matchers=[lambda s: s == target])
         assert filt == {target: full[target]}
@@ -432,7 +418,7 @@ def test_sid_file_covers_both_searches_and_an_empty_segment(sid_reader):
 class TestParallelIntervals:
     def test_inprocess_split_matches_serial(self, tmp_path):
         trace = random_trace(31, events=400, nodes=3)
-        _row, col = record_pair(tmp_path, trace, segment_records=16)
+        col = record_columnar(tmp_path, trace, segment_records=16)
         serial = sentence_intervals(col)
         # workers=1 short-circuits run() in-process while still exercising
         # the range split / snapshot seeding / concatenation merge
@@ -441,7 +427,7 @@ class TestParallelIntervals:
 
     def test_multiprocess_matches_serial(self, tmp_path):
         trace = random_trace(41, events=400, nodes=3)
-        _row, col = record_pair(tmp_path, trace, segment_records=16)
+        col = record_columnar(tmp_path, trace, segment_records=16)
         serial = sentence_intervals(col)
         got = parallel_intervals(col, runner=SweepRunner(workers=2))
         assert got == serial
@@ -451,7 +437,7 @@ class TestParallelIntervals:
         # the merged dict -- and everything built from it -- comes out in
         # the serial order, not in order of first close within a range
         trace = random_trace(43, events=600, nodes=3, sentences=16)
-        _row, col = record_pair(tmp_path, trace, segment_records=16)
+        col = record_columnar(tmp_path, trace, segment_records=16)
         serial = sentence_intervals(col)
         parallel = sentence_intervals(col, jobs=2)
         assert list(parallel.items()) == list(serial.items())
@@ -461,7 +447,7 @@ class TestParallelIntervals:
 
     def test_filtered_parallel_matches_filtered_serial(self, tmp_path):
         trace = random_trace(51, events=400, nodes=2)
-        _row, col = record_pair(tmp_path, trace, segment_records=16)
+        col = record_columnar(tmp_path, trace, segment_records=16)
         verb = col.sentences[0].verb.name
         pat = [lambda s, v=verb: s.verb.name == v]
         serial = filtered_intervals(col, matchers=pat)
@@ -470,9 +456,9 @@ class TestParallelIntervals:
 
     def test_jobs_kwarg_flows_through_retro(self, tmp_path):
         trace = random_trace(61, events=300, nodes=2)
-        row, col = record_pair(tmp_path, trace, segment_records=16)
-        assert sentence_intervals(col, jobs=1) == sentence_intervals(row)
-        assert trace_stats(col, jobs=1) == trace_stats(row)
+        col = record_columnar(tmp_path, trace, segment_records=16)
+        assert sentence_intervals(col, jobs=1) == sentence_intervals(trace)
+        assert trace_stats(col, jobs=1) == trace_stats(trace)
 
 
 class TestRetroOverColumnar:
@@ -480,19 +466,19 @@ class TestRetroOverColumnar:
         from repro.core import PerformanceQuestion
 
         trace = random_trace(71, events=250, nodes=2)
-        row, col = record_pair(tmp_path, trace, segment_records=32)
+        col = record_columnar(tmp_path, trace, segment_records=32)
         sent = trace.events()[0].sentence
         pat = SentencePattern(sent.verb.name, tuple(n.name for n in sent.nouns))
         qs = [PerformanceQuestion("q", (pat,))]
         for end in (None, 1.0):
-            a = evaluate_questions(row, qs, end_time=end)
+            a = evaluate_questions(trace, qs, end_time=end)
             b = evaluate_questions(col, qs, end_time=end)
             assert {k: vars(v) for k, v in a.items()} == {k: vars(v) for k, v in b.items()}
 
     def test_windowed_mappings_row_vs_columnar(self, tmp_path):
         trace = random_trace(81, events=250, nodes=2)
-        row, col = record_pair(tmp_path, trace, segment_records=32)
-        assert windowed_mappings(row, window=0.001) == windowed_mappings(col, window=0.001)
+        col = record_columnar(tmp_path, trace, segment_records=32)
+        assert windowed_mappings(trace, window=0.001) == windowed_mappings(col, window=0.001)
 
 
 class TestEmptyColumnar:

@@ -1,6 +1,6 @@
 """Byte-mutation fuzzing: corrupt trace files must fail with CodecError.
 
-A valid file of each layout is built once; hypothesis then flips single
+A valid ``.rtrcx`` file is built once; hypothesis then flips single
 bytes, stomps runs, and truncates at arbitrary offsets.  Every decode
 surface -- constructor, ``info()``, the full ``records()`` walk,
 ``seek()`` -- must either succeed (the mutation landed in a value byte
@@ -24,22 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import EventKind
-from repro.trace import (
-    CodecError,
-    ColumnarTraceReader,
-    ColumnarTraceWriter,
-    TraceReader,
-    TraceWriter,
-    open_trace,
-)
+from repro.trace import CodecError, ColumnarTraceReader, ColumnarTraceWriter, open_trace
 from repro.workloads import random_trace
 
 
-def _baseline(writer_cls, **kwargs):
+def _baseline():
     trace = random_trace(17, events=120, nodes=2)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "t.bin")
-        with writer_cls(path, metadata={"fuzz": True}, **kwargs) as w:
+        with ColumnarTraceWriter(path, segment_records=16, metadata={"fuzz": True}) as w:
             w.record_trace(trace)
             w.metric_sample(1.0, "cpu_time", "node0", 0.5, "s")
             ev = trace.events()
@@ -48,14 +41,10 @@ def _baseline(writer_cls, **kwargs):
             return fh.read()
 
 
-ROW_BYTES = _baseline(TraceWriter, snapshot_every=16)
-COL_BYTES = _baseline(ColumnarTraceWriter, segment_records=16)
-
-READERS = {"row": TraceReader, "columnar": ColumnarTraceReader}
-BASELINES = {"row": ROW_BYTES, "columnar": COL_BYTES}
+BASELINE = _baseline()
 
 
-def exercise(fmt: str, blob: bytes) -> None:
+def exercise(blob: bytes) -> None:
     """Open the blob and touch every decode surface.
 
     Raises whatever the reader raises; the caller asserts on the type.
@@ -64,7 +53,7 @@ def exercise(fmt: str, blob: bytes) -> None:
         path = os.path.join(d, "t.bin")
         with open(path, "wb") as fh:
             fh.write(blob)
-        reader = READERS[fmt](path)
+        reader = ColumnarTraceReader(path)
         reader.info()
         list(reader.records())
         bounds = reader.time_bounds()
@@ -77,55 +66,46 @@ def exercise(fmt: str, blob: bytes) -> None:
         reader.close()
 
 
-@pytest.mark.parametrize("fmt", ["row", "columnar"])
-def test_baseline_is_valid(fmt):
-    exercise(fmt, BASELINES[fmt])
+def test_baseline_is_valid():
+    exercise(BASELINE)
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    fmt=st.sampled_from(["row", "columnar"]),
     pos=st.integers(min_value=0, max_value=10**9),
     value=st.integers(min_value=0, max_value=255),
 )
-def test_single_byte_mutation_never_escapes_codecerror(fmt, pos, value):
-    base = BASELINES[fmt]
-    pos %= len(base)
-    if base[pos] == value:
+def test_single_byte_mutation_never_escapes_codecerror(pos, value):
+    pos %= len(BASELINE)
+    if BASELINE[pos] == value:
         value ^= 0xFF
-    blob = base[:pos] + bytes([value]) + base[pos + 1 :]
+    blob = BASELINE[:pos] + bytes([value]) + BASELINE[pos + 1 :]
     try:
-        exercise(fmt, blob)
+        exercise(blob)
     except CodecError:
         pass
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    fmt=st.sampled_from(["row", "columnar"]),
     pos=st.integers(min_value=0, max_value=10**9),
     run=st.binary(min_size=1, max_size=16),
 )
-def test_byte_run_stomp_never_escapes_codecerror(fmt, pos, run):
-    base = BASELINES[fmt]
-    pos %= len(base)
-    blob = (base[:pos] + run + base[pos + len(run) :])[: len(base)]
+def test_byte_run_stomp_never_escapes_codecerror(pos, run):
+    pos %= len(BASELINE)
+    blob = (BASELINE[:pos] + run + BASELINE[pos + len(run) :])[: len(BASELINE)]
     try:
-        exercise(fmt, blob)
+        exercise(blob)
     except CodecError:
         pass
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    fmt=st.sampled_from(["row", "columnar"]),
-    keep=st.integers(min_value=0, max_value=10**9),
-)
-def test_truncation_raises_codecerror(fmt, keep):
-    base = BASELINES[fmt]
-    keep %= len(base)  # strictly shorter than the valid file
+@given(keep=st.integers(min_value=0, max_value=10**9))
+def test_truncation_raises_codecerror(keep):
+    keep %= len(BASELINE)  # strictly shorter than the valid file
     with pytest.raises(CodecError):
-        exercise(fmt, base[:keep])
+        exercise(BASELINE[:keep])
 
 
 @pytest.mark.parametrize(
@@ -141,12 +121,13 @@ def test_garbage_blobs_raise_codecerror(tmp_path, blob):
 
 
 def test_swapped_trailer_magic_raises(tmp_path):
-    # a row trailer on a columnar body (and vice versa) must not decode
-    row_as_col = tmp_path / "a.bin"
-    row_as_col.write_bytes(ROW_BYTES)
+    # the retired row layout's magic or trailer on a columnar body must not
+    # decode
+    row_head = tmp_path / "a.bin"
+    row_head.write_bytes(b"RTRC" + BASELINE[4:])
     with pytest.raises(CodecError):
-        ColumnarTraceReader(row_as_col)
-    col_as_row = tmp_path / "b.bin"
-    col_as_row.write_bytes(COL_BYTES)
+        ColumnarTraceReader(row_head)
+    row_tail = tmp_path / "b.bin"
+    row_tail.write_bytes(BASELINE[:-4] + b"CRTR")
     with pytest.raises(CodecError):
-        TraceReader(col_as_row)
+        ColumnarTraceReader(row_tail)

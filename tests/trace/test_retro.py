@@ -14,10 +14,10 @@ from repro.core import (
     sentence,
 )
 from repro.trace import (
-    TraceReader,
-    TraceWriter,
+    ColumnarTraceWriter,
     diff_traces,
     evaluate_questions,
+    open_trace,
     parse_pattern,
     sentence_intervals,
     trace_stats,
@@ -123,10 +123,10 @@ class TestEvaluateQuestions:
         assert evaluate_questions(trace, q)["q"].satisfied_time == 5.0
 
     def test_works_from_a_trace_reader(self, tmp_path):
-        path = tmp_path / "t.rtrc"
-        with TraceWriter(path) as w:
+        path = tmp_path / "t.rtrcx"
+        with ColumnarTraceWriter(path) as w:
             w.record_trace(make_trace(self.ROWS))
-        a = evaluate_questions(TraceReader(path), self.questions(), end_time=8.0)
+        a = evaluate_questions(open_trace(path), self.questions(), end_time=8.0)
         b = evaluate_questions(make_trace(self.ROWS), self.questions(), end_time=8.0)
         assert {k: vars(v) for k, v in a.items()} == {k: vars(v) for k, v in b.items()}
 

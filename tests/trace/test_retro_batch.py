@@ -5,8 +5,8 @@ sentence-id pushdown, zone-map pruning, dead-question pruning and shards)
 and its single-question spelling ``evaluate_questions`` must reproduce the
 ``tests/core/oracle.py`` replay of every recorded event exactly -- same
 satisfied_time floats, same transition counts, same end-time defaulting --
-across random traces, both storage layouts, node filters, and explicit end
-times.
+across random traces, in-memory and ``.rtrcx`` sources, node filters, and
+explicit end times.
 """
 
 import asyncio
@@ -31,7 +31,6 @@ from repro.core import (
 from repro.serve import TraceSource
 from repro.trace.columnar import ColumnarTraceReader, ColumnarTraceWriter, open_trace
 from repro.trace.retro import evaluate_question_batch, evaluate_questions, question_name
-from repro.trace.store import TraceWriter
 from repro.workloads.fuzz import random_trace
 
 from ..core.oracle import naive_answers
@@ -282,17 +281,13 @@ def test_default_end_is_the_last_transition_not_the_last_change(tmp_path):
     memory = Trace()
     for e in events:
         memory.append(e)
-    row = tmp_path / "t.rtrc"
-    with TraceWriter(row) as writer:
-        writer.record_trace(events)
     columnar = write_columnar(tmp_path / "t.rtrcx", events, segment_records=2)
     for node in (None, 0, 1):
         want = naive_answers(events, qs, node=node)
         assert want["a"][3] == (6.0 if node != 1 else 4.5)
         assert_identical(evaluate_question_batch(memory, qs, node=node), want)
-        for path in (row, columnar):
-            with open_trace(str(path)) as reader:
-                assert_identical(evaluate_question_batch(reader, qs, node=node), want)
+        with open_trace(str(columnar)) as reader:
+            assert_identical(evaluate_question_batch(reader, qs, node=node), want)
         assert trace_source_answers(columnar, qs, node=node) == want
 
 

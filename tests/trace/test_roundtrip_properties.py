@@ -7,8 +7,8 @@ are asserted:
 * **round-trip identity** -- decoded events equal the recorded ones, event
   for event (times bit-exact, sentences equal, node ids preserved);
 * **seek == linear replay** -- for any probe time, the state reconstructed
-  from the nearest snapshot plus tail replay equals the linear reference
-  replay from the start of the file.
+  from the enclosing segment's snapshot plus a prefix replay equals the
+  linear reference replay from the start of the file.
 
 Files go through ``tempfile.TemporaryDirectory`` rather than the
 function-scoped ``tmp_path`` fixture, which hypothesis rejects.
@@ -21,7 +21,7 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trace import SASState, TraceReader, TraceWriter
+from repro.trace import ColumnarTraceReader, ColumnarTraceWriter, SASState
 from repro.workloads import random_trace
 
 trace_params = st.tuples(
@@ -37,10 +37,10 @@ def test_encode_decode_round_trip_identity(params):
     seed, events, nodes = params
     trace = random_trace(seed, events=events, nodes=nodes)
     with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "t.rtrc")
-        with TraceWriter(path, metadata={"seed": seed}) as w:
+        path = os.path.join(d, "t.rtrcx")
+        with ColumnarTraceWriter(path, metadata={"seed": seed}) as w:
             w.record_trace(trace)
-        reader = TraceReader(path)
+        reader = ColumnarTraceReader(path)
         decoded = list(reader)
         original = trace.events()
         assert len(decoded) == len(original) == reader.transitions
@@ -56,19 +56,19 @@ def test_encode_decode_round_trip_identity(params):
 @settings(max_examples=15, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=1, max_value=32),  # snapshot cadence incl. degenerate 1
+    st.integers(min_value=1, max_value=32),  # segment records incl. degenerate 1
 )
-def test_seek_equals_linear_replay_at_random_times(seed, snapshot_every):
+def test_seek_equals_linear_replay_at_random_times(seed, segment_records):
     trace = random_trace(seed, events=200, nodes=3)
     events = trace.events()
     with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "t.rtrc")
-        with TraceWriter(path, snapshot_every=snapshot_every) as w:
+        path = os.path.join(d, "t.rtrcx")
+        with ColumnarTraceWriter(path, segment_records=segment_records) as w:
             w.record_trace(trace)
-        reader = TraceReader(path)
+        reader = ColumnarTraceReader(path)
         t0, t1 = reader.time_bounds()
         rng = random.Random(seed)
         probes = [rng.uniform(t0 - 1e-4, t1 + 1e-4) for _ in range(50)]
         probes += [t0, t1, events[len(events) // 2].time]
         for t in probes:
-            assert reader.seek(t) == SASState.from_events(events, t), (t, snapshot_every)
+            assert reader.seek(t) == SASState.from_events(events, t), (t, segment_records)

@@ -1,19 +1,18 @@
-"""Property suite: ``seek()`` boundary semantics, row vs columnar.
+"""Property suite: ``seek()`` boundary semantics.
 
 ``seek(t)`` answers "what was active at time ``t``" -- inclusive of
-events stamped exactly ``t``.  The row reader reconstructs from the
-nearest snapshot frame plus tail replay; the columnar reader from the
-enclosing segment's embedded snapshot plus a bisected column prefix.
-Both must agree with the linear reference replay
-(:meth:`SASState.from_events`) at every boundary the formats care about:
+events stamped exactly ``t``.  The reader reconstructs from the enclosing
+segment's embedded snapshot plus a bisected column prefix, which must
+agree with the linear reference replay (:meth:`SASState.from_events`) at
+every boundary the format cares about:
 
 * a probe exactly on an event time (inclusive semantics);
-* a probe exactly on a snapshot frame / segment boundary;
+* a probe exactly on a segment boundary;
 * probes before the first and after the last event;
-* same-instant batches that *straddle* a snapshot or segment boundary
-  (tiny ``snapshot_every`` / ``segment_records`` force the straddle:
-  the later frame's snapshot already contains the earlier same-time
-  events, and replay of the remainder must not double-apply them).
+* same-instant batches that *straddle* a segment boundary (tiny
+  ``segment_records`` force the straddle: the later segment's snapshot
+  already contains the earlier same-time events, and replay of the
+  remainder must not double-apply them).
 """
 
 import os
@@ -24,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import EventKind, Noun, Verb, sentence
-from repro.trace import ColumnarTraceReader, ColumnarTraceWriter, SASState, TraceReader, TraceWriter
+from repro.trace import ColumnarTraceReader, ColumnarTraceWriter, SASState
 from repro.workloads import random_trace
 
 SUM = Verb("Sum", "HPF")
@@ -33,14 +32,11 @@ B_SUM = sentence(SUM, Noun("B", "HPF"))
 C_SUM = sentence(SUM, Noun("C", "HPF"))
 
 
-def write_both(d, trace, snapshot_every, segment_records):
-    row = os.path.join(d, "t.rtrc")
+def write_columnar(d, trace, segment_records):
     col = os.path.join(d, "t.rtrcx")
-    with TraceWriter(row, snapshot_every=snapshot_every) as w:
-        w.record_trace(trace)
     with ColumnarTraceWriter(col, segment_records=segment_records) as w:
         w.record_trace(trace)
-    return TraceReader(row), ColumnarTraceReader(col)
+    return ColumnarTraceReader(col)
 
 
 def boundary_probes(events, seed):
@@ -57,29 +53,22 @@ def boundary_probes(events, seed):
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    snapshot_every=st.integers(min_value=1, max_value=24),
-    segment_records=st.integers(min_value=2, max_value=24),
+    segment_records=st.integers(min_value=1, max_value=24),
     tie_bias=st.floats(min_value=0.0, max_value=0.8),
 )
-def test_seek_identical_across_layouts_and_reference(
-    seed, snapshot_every, segment_records, tie_bias
-):
+def test_seek_identical_across_layouts_and_reference(seed, segment_records, tie_bias):
     trace = random_trace(seed, events=160, nodes=3, tie_bias=tie_bias)
     events = trace.events()
     with tempfile.TemporaryDirectory() as d:
-        row, col = write_both(d, trace, snapshot_every, segment_records)
+        col = write_columnar(d, trace, segment_records)
         for t in boundary_probes(events, seed):
-            want = SASState.from_events(events, t)
-            got_row = row.seek(t)
-            got_col = col.seek(t)
-            assert got_row == want, (t, snapshot_every)
-            assert got_col == want, (t, segment_records)
+            assert col.seek(t) == SASState.from_events(events, t), (t, segment_records)
 
 
 def test_same_instant_batch_straddling_every_boundary():
-    # five events on one instant; with cadence 2 a snapshot frame / segment
-    # roll lands mid-batch, so the snapshot already holds the first of the
-    # tied events and replay must pick up exactly the remainder
+    # five events on one instant; with cadence 2 a segment roll lands
+    # mid-batch, so the snapshot already holds the first of the tied events
+    # and replay must pick up exactly the remainder
     rows = [
         (1.0, EventKind.ACTIVATE, A_SUM, 0),
         (2.0, EventKind.ACTIVATE, B_SUM, 1),
@@ -97,11 +86,9 @@ def test_same_instant_batch_straddling_every_boundary():
     events = trace.events()
     with tempfile.TemporaryDirectory() as d:
         for cadence in (1, 2, 3):
-            row, col = write_both(d, trace, cadence, cadence)
+            col = write_columnar(d, trace, cadence)
             for t in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
-                want = SASState.from_events(events, t)
-                assert row.seek(t) == want, (cadence, t)
-                assert col.seek(t) == want, (cadence, t)
+                assert col.seek(t) == SASState.from_events(events, t), (cadence, t)
             # at t=2.0 every tied event is applied, none twice
             state = col.seek(2.0)
             assert state.nodes[1][A_SUM] == [2.0]
@@ -113,10 +100,8 @@ def test_probe_before_first_event_is_empty_state():
     trace = random_trace(3, events=60, nodes=2)
     t0 = trace.events()[0].time
     with tempfile.TemporaryDirectory() as d:
-        row, col = write_both(d, trace, 8, 8)
-        empty = SASState()
-        assert row.seek(t0 - 1e-9) == empty
-        assert col.seek(t0 - 1e-9) == empty
+        col = write_columnar(d, trace, 8)
+        assert col.seek(t0 - 1e-9) == SASState()
 
 
 def test_probe_after_last_event_matches_final_state():
@@ -124,8 +109,7 @@ def test_probe_after_last_event_matches_final_state():
     events = trace.events()
     t1 = events[-1].time
     with tempfile.TemporaryDirectory() as d:
-        row, col = write_both(d, trace, 8, 8)
+        col = write_columnar(d, trace, 8)
         want = SASState.from_events(events, t1 + 100.0)
-        assert row.seek(t1 + 100.0) == want
         assert col.seek(t1 + 100.0) == want
-        assert row.seek(t1) == col.seek(t1) == want  # nothing opens after t1
+        assert col.seek(t1) == want  # nothing opens after t1
