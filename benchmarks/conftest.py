@@ -69,6 +69,8 @@ def merge_bench(artifact_dir):
     Several benches report into one machine-readable file (abl9/abl10/abl11
     all land in ``BENCH_trace.json``); merging instead of overwriting lets
     any subset of them run in any order without losing the others' numbers.
+    Each bench reports under its own top-level key, so a rerun replaces its
+    whole section and a key it no longer writes does not linger.
     """
 
     def merge(updates: dict, name: str = "BENCH_trace.json") -> pathlib.Path:

@@ -20,7 +20,8 @@ Four claims, one artifact:
 
 Quick mode (``REPRO_BENCH_QUICK=1``, the CI bench-smoke job) shrinks scales
 but keeps every assertion.  Machine-readable numbers land in
-``benchmarks/out/BENCH_trace.json``; the recorded Figure-6 run is kept as
+``benchmarks/out/BENCH_trace.json`` under ``"abl9"``; the recorded
+Figure-6 run is kept as
 ``benchmarks/out/sample_fig6.rtrcx`` so CI archives a real trace file.
 """
 
@@ -318,8 +319,8 @@ def test_abl9_trace_store(benchmark, save_artifact, artifact_dir, merge_bench):
         "seek_speedup": seek["seek_speedup"],
         "quick": QUICK,
     }
-    # merge, don't overwrite: abl10/abl11 report into the same file
-    merge_bench(bench_json)
+    # abl10/abl11 report into the same file, each under its own key
+    merge_bench({"abl9": bench_json})
 
     retro_rows = [
         (name, f"{t_live:.3e}", f"{fig6['retro'][name][0]:.3e}", n_live)

@@ -1,7 +1,9 @@
 """The lint driver: classify inputs, run every pass, format results.
 
 ``lint_paths`` is what ``repro lint`` calls.  Inputs are classified by
-extension (``.pif``, ``.mdl``, ``.cmf``/``.fcm``, ``.rtrcx``) and
+extension (``.pif``, ``.mdl``, ``.cmf``/``.fcm``, ``.rtrcx``); a file
+with any other name is a trace when it starts with the ``.rtrcx`` magic,
+as every ``repro trace`` command would open it.  They are
 processed in dependency order: PIF and CM Fortran sources first (they
 build the static context), then MDL (checked against that context's
 vocabulary), then traces (sanitized against the merged static
@@ -92,6 +94,14 @@ def _classify(path: str) -> str:
     ):
         if lower.endswith(ext):
             return kind
+    from ..trace.columnar import MAGIC_X
+
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(MAGIC_X)) == MAGIC_X:
+                return "trace"
+    except OSError:
+        pass
     return "unknown"
 
 

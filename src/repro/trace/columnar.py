@@ -12,10 +12,20 @@ The record is stored *by column*, in time-sorted segments, so a
 retrospective question, lag-window attribution, or trace-backed lint run
 touches only the bytes its patterns need:
 
-* **per-field arrays** -- transition times, sentence ids, kind flags and
+* **per-field arrays** -- transition times, sentence ids, KIND bits and
   node ids (and the metric/mapping fields) live in separate contiguous
-  machine arrays (``f64``/``u32``/``u8`` little-endian), bulk-decoded with
-  ``array.frombytes`` instead of per-record varint parsing;
+  little-endian machine arrays, bulk-decoded with ``array.frombytes``
+  instead of per-record varint parsing.  Times are ``f64``; the sentence
+  id and node columns are as narrow as their largest value allows (1, 2
+  or 4 bytes, the width being the column's byte count over its rows);
+* **sentence-id posting lists** -- every segment stores, for each sentence
+  id of its zone map, the rows that hold it, so a sid-filtered scan slices
+  its rows out instead of searching the SID column;
+* **membership bits** -- a transition's KIND byte says whether it
+  activates (:data:`KIND_ACTIVATE`) and whether it changes its sentence's
+  membership, its cross-node depth going 0 -> 1 or 1 -> 0
+  (:data:`KIND_MEMBER`): a question replay over all nodes hands those rows
+  straight to the engine, counting no depth;
 * **time-sorted segments with zone maps** -- every ``segment_records``
   records close a segment; the footer records each segment's byte span,
   time range, distinct sentence-id set, and per-level presence bits, so a
@@ -39,6 +49,7 @@ File layout::
     header  := MAGIC "RTCX" | version u8 | meta_len varint | meta_json
     segment := snap_len varint | snapshot | ncols varint
                | (col_id varint | nbytes varint | column bytes)*
+               (empty columns are left out; see ``COL_*`` for the ids)
     footer  := string table | sentence table | level table
                | segment index (zone maps) | counts | bounds
     trailer := footer_offset u64le | MAGIC_END "XCTR"
@@ -52,7 +63,7 @@ import mmap
 import struct
 import sys
 from array import array
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -80,6 +91,8 @@ __all__ = [
     "MAGIC_X_END",
     "VERSION_X",
     "ALL_NODES",
+    "KIND_ACTIVATE",
+    "KIND_MEMBER",
     "SASState",
     "MetricSample",
     "MappingEvent",
@@ -92,7 +105,7 @@ __all__ = [
 
 MAGIC_X = b"RTCX"
 MAGIC_X_END = b"XCTR"
-VERSION_X = 1
+VERSION_X = 2
 
 _F64 = struct.Struct("<d")
 _U64 = struct.Struct("<Q")
@@ -100,9 +113,9 @@ _U64 = struct.Struct("<Q")
 #: column ids (fixed on disk; unknown ids are skipped by readers)
 COL_ORDER = 0  # u8 per record: 0 = transition, 1 = metric, 2 = mapping
 COL_T = 1  # f64 transition times
-COL_SID = 2  # u32 sentence ids
-COL_KIND = 3  # u8 activate flag
-COL_NODE = 4  # u32 encode_node() fields
+COL_SID = 2  # sentence ids, 1, 2 or 4 bytes each
+COL_KIND = 3  # u8 KIND_* bits
+COL_NODE = 4  # encode_node() fields, 1, 2 or 4 bytes each
 COL_MT = 5  # f64 metric times
 COL_MNAME = 6  # u32 metric name string ids
 COL_MFOCUS = 7  # u32 focus string ids
@@ -112,11 +125,20 @@ COL_PT = 10  # f64 mapping times
 COL_PSRC = 11  # u32 mapping source sentence ids
 COL_PDST = 12  # u32 mapping destination sentence ids
 COL_PORG = 13  # u8 mapping origin codes
+COL_POST_N = 14  # posting-list lengths, one per zone-map sid in ascending sid order
+COL_POST_ROWS = 15  # posting lists: each sid's rows, ascending, in COL_POST_N order
+
+#: KIND column bits: the transition activates (clear: deactivates), and it
+#: changes its sentence's membership -- the sentence's depth summed over
+#: every node goes 0 -> 1 (an activation) or 1 -> 0 (a deactivation)
+KIND_ACTIVATE = 1
+KIND_MEMBER = 2
 
 REC_TRANS, REC_METRIC, REC_MAP = 0, 1, 2
 
-#: the writer's buffered record kinds: a transition's activate flag (0/1,
-#: already its KIND column byte), then a metric sample and a mapping
+#: the writer's buffered record kinds: a transition's activate flag (0/1),
+#: then a metric sample and a mapping (not KIND column bytes: the encoded
+#: KIND column adds KIND_MEMBER to the transitions' flags)
 _K_METRIC, _K_MAP = 2, 3
 _ORDER_OF = bytes([REC_TRANS, REC_TRANS, REC_METRIC, REC_MAP]) + bytes(252)
 _IS_TRANS = bytes([1, 1]) + bytes(254)
@@ -127,6 +149,8 @@ if array(_U32).itemsize != 4:  # pragma: no cover - no such CPython platform
     raise RuntimeError("no 4-byte unsigned array typecode on this platform")
 _BIG_ENDIAN = sys.byteorder == "big"
 _ID_LIMIT = 1 << 32
+#: array typecodes of the unsigned column widths
+_UINT = {1: "B", 2: "H", 4: _U32}
 
 
 def _tobytes(arr: array) -> bytes:
@@ -136,48 +160,18 @@ def _tobytes(arr: array) -> bytes:
     return arr.tobytes()
 
 
+def _narrow(values: Iterable[int], top: int) -> bytes:
+    """``values``, none larger than ``top``, as little-endian unsigned ints
+    of the narrowest of 1, 2 or 4 bytes that holds ``top``."""
+    return _tobytes(array("B" if top < 0x100 else "H" if top < 0x10000 else _U32, values))
+
+
 def _frombytes(typecode: str, raw: bytes) -> array:
     arr = array(typecode)
     arr.frombytes(raw)
     if _BIG_ENDIAN and arr.itemsize > 1:  # pragma: no cover - little-endian hosts
         arr.byteswap()
     return arr
-
-
-def _sid_rows(data, start: int, end: int, sids: Iterable[int], narrow: bool) -> list[int]:
-    """Ascending rows of the u32 little-endian column ``data[start:end]``
-    (an mmap or bytes) that hold one of ``sids``; C-speed searches only.
-
-    A ``narrow`` column holds only values below 256, so its low-byte plane
-    ``data[start:end:4]`` is the column: one ``translate`` flags the wanted
-    rows and ``find`` walks the flags.  Otherwise each sid's 4-byte pattern
-    is searched for with ``find``; a hit off an element boundary straddles
-    two values and resumes the search at the next boundary.
-    """
-    rows: list[int] = []
-    if narrow:
-        wanted = bytearray(256)
-        for sid in sids:
-            wanted[sid] = 1
-        find = data[start:end:4].translate(wanted).find
-        at = find(1)
-        while at >= 0:
-            rows.append(at)
-            at = find(1, at + 1)
-        return rows
-    find = data.find
-    for sid in sids:
-        pattern = sid.to_bytes(4, "little")
-        at = find(pattern, start, end)
-        while at >= 0:
-            skew = (at - start) & 3
-            if skew:
-                at = find(pattern, at + 4 - skew, end)
-            else:
-                rows.append((at - start) >> 2)
-                at = find(pattern, at + 4, end)
-    rows.sort()
-    return rows
 
 
 #: sentinel distinguishing "no node filter" from "node None"
@@ -570,12 +564,13 @@ class ColumnarTraceWriter:
             trans_nodes = list(compress(nodes, is_trans))
         # a transition's node gets its activation-stack dict at its first
         # record ever (the snapshot lists nodes in that order); a node id the
-        # u32 column cannot hold fails at its first record, after that
-        # record's other checks (the loop stops just past it)
+        # node column cannot hold in 4 bytes fails at its first record,
+        # after that record's other checks (the loop stops just past it)
         state = self._state
         fields = self._node_fields
         stop, bad_node = len(kinds), None
-        for node in dict.fromkeys(trans_nodes):
+        seg_nodes = dict.fromkeys(trans_nodes)
+        for node in seg_nodes:
             if node not in state:
                 state[node] = {}
                 field = fields[node] = encode_node(node)
@@ -585,6 +580,12 @@ class ColumnarTraceWriter:
                         stop, bad_node = at + 1, node
         depth = self._flat_depth
         start = self._flat_start
+        # the encoded KIND column: each transition's activate flag, plus
+        # KIND_MEMBER where its sentence's cross-node depth leaves or
+        # reaches 0 (metric and mapping records add nothing)
+        trans_kind = bytearray()
+        mark = trans_kind.append
+        joins, leaves = KIND_ACTIVATE | KIND_MEMBER, KIND_MEMBER
         for k, t, sid, node in zip(kinds[:stop], times, ids, nodes):
             if k == 1:  # activate
                 per = state[node]
@@ -597,8 +598,10 @@ class ColumnarTraceWriter:
                 if d is None:
                     depth[sid] = 1
                     start[sid] = t
+                    mark(joins)
                 else:
                     depth[sid] = d + 1
+                    mark(KIND_ACTIVATE)
             elif not k:  # deactivate
                 per = state[node]
                 stack = per.get(sid)
@@ -615,8 +618,10 @@ class ColumnarTraceWriter:
                 if d == 1:
                     del depth[sid]
                     del start[sid]
+                    mark(leaves)
                 else:
                     depth[sid] = d - 1
+                    mark(0)
             if t < last:
                 raise ValueError(f"trace time went backwards: {t} < {last}")
             last = t
@@ -624,26 +629,34 @@ class ColumnarTraceWriter:
             raise CodecError(f"node id {bad_node} out of u32 range")
         self._last_time = last
         if only_trans:
-            sid_col, trans_t, trans_kind = ids, times, kinds
+            sid_col, trans_t = ids, times
         else:
             sid_col = list(compress(ids, is_trans))
             trans_t = array("d", compress(times, is_trans))
-            trans_kind = bytes(compress(kinds, is_trans))
         n_trans = len(sid_col)
         mt, mname, mfocus, munits, mval = zip(*metric_rows) if metric_rows else ((),) * 5
         pt, psrc, pdst, porg = zip(*map_rows) if map_rows else ((),) * 4
         seg_sids = set(sid_col)
+        top_sid = max(seg_sids, default=0)
         seg_sids.update(psrc, pdst)
         level_of = self._sent_level
         levels = 0
         for sid in seg_sids:
             levels |= 1 << level_of[sid]
+        # posting lists, in zone-map order (a mapping's sid may have no row)
+        postings: dict[int, list[int]] = {sid: [] for sid in sorted(seg_sids)}
+        for row, sid in enumerate(sid_col):
+            postings[sid].append(row)
+        counts = [len(rows) for rows in postings.values()] if n_trans else []
         cols = [
             (COL_ORDER, bytes(n_trans) if only_trans else kinds.translate(_ORDER_OF)),
             (COL_T, _tobytes(trans_t)),
-            (COL_SID, _tobytes(array(_U32, sid_col))),
+            (COL_SID, _narrow(sid_col, top_sid)),
             (COL_KIND, bytes(trans_kind)),
-            (COL_NODE, _tobytes(array(_U32, map(fields.__getitem__, trans_nodes)))),
+            (COL_NODE, _narrow(
+                map(fields.__getitem__, trans_nodes),
+                max(map(fields.__getitem__, seg_nodes), default=0),
+            )),
             (COL_MT, _tobytes(array("d", mt))),
             (COL_MNAME, _tobytes(array(_U32, mname))),
             (COL_MFOCUS, _tobytes(array(_U32, mfocus))),
@@ -653,6 +666,8 @@ class ColumnarTraceWriter:
             (COL_PSRC, _tobytes(array(_U32, psrc))),
             (COL_PDST, _tobytes(array(_U32, pdst))),
             (COL_PORG, bytes(porg)),
+            (COL_POST_N, _narrow(counts, max(counts, default=0))),
+            (COL_POST_ROWS, _narrow(chain.from_iterable(postings.values()), n_trans - 1)),
         ]
         buf = bytearray()
         append_uvarint(buf, len(snapshot))
@@ -788,7 +803,8 @@ class ColumnarTraceReader:
             raise CodecError(f"{self.path}: not an .rtrcx file")
         if data[len(MAGIC_X)] != VERSION_X:
             raise CodecError(
-                f"{self.path}: unsupported version {data[len(MAGIC_X)]} (want {VERSION_X})"
+                f"{self.path}: unsupported version {data[len(MAGIC_X)]} "
+                f"(want {VERSION_X}; record the run again to read it)"
             )
         if data[-len(MAGIC_X_END) :] != MAGIC_X_END:
             raise CodecError(f"{self.path}: truncated (missing end magic)")
@@ -818,6 +834,9 @@ class ColumnarTraceReader:
         nseg, fpos = read_uvarint(data, fpos)
         check_count(nseg, fpos, len(data), 30, "segment index")
         self.segments: list[SegmentMeta] = []
+        # each segment's zone-map sids as stored (ascending): the order of
+        # its posting lists
+        self._sid_order: list[list[int]] = []
         nsents = len(self.sentences)
         for _ in range(nseg):
             offset, fpos = read_uvarint(data, fpos)
@@ -855,6 +874,7 @@ class ColumnarTraceReader:
                     t_min, t_max, trans_t_max, level_mask, frozenset(sids),
                 )
             )
+            self._sid_order.append(sids)
         self.transitions, fpos = read_uvarint(data, fpos)
         self.metric_count, fpos = read_uvarint(data, fpos)
         self.mapping_count, fpos = read_uvarint(data, fpos)
@@ -917,6 +937,26 @@ class ColumnarTraceReader:
     def _col_u32(self, i: int, cid: int, expect: int) -> array:
         return _frombytes(_U32, self._col_raw(i, cid, expect, 4))
 
+    def _uint_span(self, i: int, cid: int, expect: int) -> tuple[int, int]:
+        """``(offset, width)`` of a column of ``expect`` unsigned ints 1, 2
+        or 4 bytes wide: the width is its byte count divided by ``expect``
+        (0 for an empty column)."""
+        span = self._columns(i).get(cid)
+        pos, nbytes = (0, 0) if span is None else span
+        width = nbytes // expect if expect else 0
+        if width * expect != nbytes or (expect and width not in _UINT):
+            raise CodecError(
+                f"{self.path}: column {cid} in segment {i} has {nbytes} bytes "
+                f"for {expect} values of 1, 2 or 4 bytes"
+            )
+        return pos, width
+
+    def _col_uint(self, i: int, cid: int, expect: int) -> array:
+        pos, width = self._uint_span(i, cid, expect)
+        if not width:
+            return array("B")
+        return _frombytes(_UINT[width], bytes(self._data[pos : pos + width * expect]))
+
     def _col_u8(self, i: int, cid: int, expect: int) -> bytes:
         return self._col_raw(i, cid, expect, 1)
 
@@ -975,13 +1015,15 @@ class ColumnarTraceReader:
         return out
 
     def segment_transitions(self, i: int) -> tuple[array, array, bytes, array]:
-        """Raw transition columns of segment ``i``: (times, sids, kinds, nodes)."""
+        """Raw transition columns of segment ``i``: (times, sids, kinds,
+        nodes); a kind byte holds the :data:`KIND_ACTIVATE` and
+        :data:`KIND_MEMBER` bits."""
         seg = self.segments[i]
         return (
             self._col_f64(i, COL_T, seg.n_trans),
-            self._col_u32(i, COL_SID, seg.n_trans),
+            self._col_uint(i, COL_SID, seg.n_trans),
             self._col_u8(i, COL_KIND, seg.n_trans),
-            self._col_u32(i, COL_NODE, seg.n_trans),
+            self._col_uint(i, COL_NODE, seg.n_trans),
         )
 
     def segment_rows(
@@ -991,16 +1033,37 @@ class ColumnarTraceReader:
         (``None``: every row).
 
         A segment whose zone-map sid set lies inside ``sids`` keeps every
-        row; otherwise the wanted sids the zone map holds are searched for
-        in the raw SID column (:func:`_sid_rows`), so no Python code runs
-        per non-matching row.
+        row; otherwise the wanted sids' posting lists are sliced out and
+        merged, so no Python code runs per row of another sentence.
+        Posting lists that do not add up to the segment's transitions, or
+        hold a row past them, raise :class:`CodecError`.
         """
         seg = self.segments[i]
         present = seg.sids if sids is None else seg.sids & sids
         if len(present) == len(seg.sids):
             return range(seg.n_trans)
-        pos, nbytes = self._col_span(i, COL_SID, seg.n_trans, 4)
-        return _sid_rows(self._data, pos, pos + nbytes, present, max(seg.sids) < 256)
+        if not (present and seg.n_trans):
+            return []
+        order = self._sid_order[i]
+        counts = self._col_uint(i, COL_POST_N, len(order))
+        if sum(counts) != seg.n_trans:
+            raise CodecError(
+                f"{self.path}: posting lists of segment {i} hold {sum(counts)} rows, "
+                f"want {seg.n_trans}"
+            )
+        pos, width = self._uint_span(i, COL_POST_ROWS, seg.n_trans)
+        code = _UINT[width]
+        ends = list(accumulate(counts))
+        rows: list[int] = []
+        for sid in present:
+            k = bisect.bisect_left(order, sid)
+            end = pos + width * ends[k]
+            rows += _frombytes(code, self._data[end - width * counts[k] : end])
+        if len(present) > 1:
+            rows.sort()
+        if rows and max(rows) >= seg.n_trans:
+            raise CodecError(f"{self.path}: posting list row out of range in segment {i}")
+        return rows
 
     # -- iteration ----------------------------------------------------------
     def events(self) -> Iterator[SentenceEvent]:
@@ -1012,7 +1075,7 @@ class ColumnarTraceReader:
             for j in range(len(times)):
                 yield SentenceEvent(
                     times[j],
-                    activate if kinds[j] else deactivate,
+                    activate if kinds[j] & KIND_ACTIVATE else deactivate,
                     sentences[sids[j]],
                     decode_node(nodes[j]),
                 )
@@ -1096,7 +1159,7 @@ class ColumnarTraceReader:
                 for rec in order:
                     if rec == REC_TRANS:
                         yield ("trans", times[ti], sentences[sids[ti]],
-                               bool(kinds[ti]), decode_node(nodes[ti]))
+                               bool(kinds[ti] & KIND_ACTIVATE), decode_node(nodes[ti]))
                         ti += 1
                     elif rec == REC_METRIC:
                         yield ("metric", mt[mi], strings[mname[mi]], strings[mfocus[mi]],
@@ -1153,7 +1216,7 @@ class ColumnarTraceReader:
                     continue
                 yield SentenceEvent(
                     times[j],
-                    activate if kinds[j] else deactivate,
+                    activate if kinds[j] & KIND_ACTIVATE else deactivate,
                     sentences[seg_sids[j]],
                     decode_node(nodes[j]),
                 )
@@ -1192,7 +1255,10 @@ class ColumnarTraceReader:
         sentences = self.sentences
         for j in range(bisect.bisect_right(times, time)):
             state.apply_transition(
-                sentences[sids[j]], bool(kinds[j]), times[j], decode_node(nodes[j])
+                sentences[sids[j]],
+                bool(kinds[j] & KIND_ACTIVATE),
+                times[j],
+                decode_node(nodes[j]),
             )
         return state
 
@@ -1227,7 +1293,7 @@ class ColumnarTraceReader:
                 continue
             if want is None:
                 return seg.trans_t_max
-            nodes = self._col_u32(i, COL_NODE, seg.n_trans)
+            nodes = self._col_uint(i, COL_NODE, seg.n_trans)
             nodes.reverse()
             if want in nodes:
                 return self._col_f64(i, COL_T, seg.n_trans)[-1 - nodes.index(want)]

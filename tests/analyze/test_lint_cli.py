@@ -56,6 +56,17 @@ def test_unknown_extension_is_nv000(capsys, tmp_path):
     assert "NV000" in capsys.readouterr().out
 
 
+def test_a_trace_is_recognised_by_its_magic_whatever_its_name(capsys, tmp_path):
+    # `trace record --out run.rtrc` writes .rtrcx bytes under that name; lint
+    # reads them as every `repro trace` command does
+    for name in ("run.rtrc", "run"):
+        path = tmp_path / name
+        path.write_bytes((CORPUS / "leak.rtrcx").read_bytes())
+        rc = main(["lint", "--format", "json", str(path)])
+        codes = [d["code"] for d in json.loads(capsys.readouterr().out)["diagnostics"]]
+        assert (rc, codes) == (1, ["NV013"])
+
+
 def test_mdl_library_gate_is_clean(capsys):
     rc = main(["lint", "--mdl-library", str(REPO / "examples" / "fragment.pif")])
     out = capsys.readouterr().out

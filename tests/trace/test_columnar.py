@@ -7,13 +7,12 @@ event by event.
 
 import random
 import re
-import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EventKind, Noun, SentencePattern, Verb, sentence
+from repro.core import EventKind, Noun, PerformanceQuestion, SentencePattern, Verb, sentence
 from repro.core.mapping import MappingOrigin
 from repro.sweep import SweepRunner
 from repro.trace import (
@@ -30,7 +29,6 @@ from repro.trace import (
     windowed_mappings,
 )
 from repro.trace.codec import CodecError, append_uvarint
-from repro.trace.columnar import _sid_rows
 from repro.workloads import random_trace
 
 from .oracle import PerRecordColumnarWriter
@@ -328,49 +326,19 @@ class TestScanAPI:
 
 
 # ----------------------------------------------------------------------
-# the row search: sid rows found in the raw column bytes
+# posting lists: sid rows sliced out of each segment's per-sid row lists
 # ----------------------------------------------------------------------
-#: values whose bytes straddle element boundaries when read unaligned
-STRADDLERS = [0, 5, 255, 256, 0x500, 0x50000, 0x5000000, 0x05050505, 0xFFFFFFFF]
-U32 = st.one_of(
-    st.sampled_from(STRADDLERS), st.integers(0, 300), st.integers(0, 2**32 - 1)
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(
-    values=st.lists(U32, max_size=48),
-    absent=st.lists(U32, max_size=3),
-    pad=st.binary(max_size=7),
-    tail=st.binary(max_size=7),
-    data=st.data(),
-)
-def test_sid_rows_match_a_per_row_loop(values, absent, pad, tail, data):
-    # the column sits at any byte offset of its buffer, as in a segment
-    pool = sorted(set(values) | set(absent))
-    wanted = set(data.draw(st.lists(st.sampled_from(pool), unique=True))) if pool else set()
-    raw = pad + struct.pack(f"<{len(values)}I", *values) + tail
-    start, end = len(pad), len(pad) + 4 * len(values)
-    want = [j for j, v in enumerate(values) if v in wanted]
-    assert _sid_rows(raw, start, end, wanted, narrow=False) == want
-    if all(v < 256 for v in values):
-        small = {sid for sid in wanted if sid < 256}
-        assert _sid_rows(raw, start, end, small, narrow=True) == [
-            j for j, v in enumerate(values) if v in small
-        ]
-
-
-def _sid_file(path, n_sentences, seed=7):
-    """Random nested activity over ``n_sentences`` sentences in 40-record
-    segments, with a metric-only run that leaves one segment no rows."""
+def _sid_file(path, n_sentences, segment_records, seed=7):
+    """Random nested activity over ``n_sentences`` sentences, with a
+    metric-only run that leaves one segment no rows."""
     rng = random.Random(seed)
     pool = [sentence(SUM, Noun(f"n{k}", "HPF")) for k in range(n_sentences)]
     depth = {}
-    with ColumnarTraceWriter(path, segment_records=40) as w:
+    with ColumnarTraceWriter(path, segment_records=segment_records) as w:
         for step in range(1600):
             if step == 800:
-                for k in range(60):
-                    w.metric_sample(step - 1 + k / 100, "cpu_time", "node0", 1.0, "s")
+                for k in range(segment_records + 20):
+                    w.metric_sample(step - 1 + k / 1e4, "cpu_time", "node0", 1.0, "s")
             k = rng.randrange(n_sentences) if rng.random() < 0.7 else rng.randrange(8)
             node = rng.randrange(3)
             d = depth.get((k, node), 0)
@@ -381,17 +349,57 @@ def _sid_file(path, n_sentences, seed=7):
     return ColumnarTraceReader(path)
 
 
-@pytest.fixture(scope="module", params=[40, 300], ids=["narrow", "wide"])
-def sid_reader(request, tmp_path_factory):
-    reader = _sid_file(tmp_path_factory.mktemp("rows") / "t.rtrcx", request.param)
-    yield reader
-    reader.close()
+def _huge_file(path):
+    """One 70,000-row segment: 65,600 sentences activated once each on
+    nodes up to 36,000 (sentence ids, node fields and rows all need 4
+    bytes), then 4,400 nested toggles of one sentence (a posting list
+    longer than 255 rows)."""
+    pool = [sentence(SUM, Noun(f"n{k}", "HPF")) for k in range(65_600)]
+    act, deact = EventKind.ACTIVATE, EventKind.DEACTIVATE
+    with ColumnarTraceWriter(path, segment_records=70_000) as w:
+        for k, sent in enumerate(pool):
+            w.transition(float(k), act, sent, node_id=(k % 5) * 9_000)
+        for k in range(4_400):
+            w.transition(70_000.0 + k, deact if k % 2 else act, pool[0], node_id=1)
+    return ColumnarTraceReader(path)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_segment_rows_match_a_per_row_loop(sid_reader, data):
-    reader = sid_reader
+#: fixture files: (sentences, segment records) or the huge file, and the
+#: byte width of their sentence-id column and of their posting-list rows
+SID_FILES = {
+    "narrow": ((40, 40), 1, 1),
+    "wide": ((300, 400), 2, 2),
+    "huge": (None, 4, 4),
+}
+
+
+@pytest.fixture(scope="module")
+def sid_files(tmp_path_factory):
+    """``open(name)`` -> (reader, sid width, row width) of a SID_FILES
+    file, written once per module."""
+    opened = {}
+
+    def open_file(name):
+        if name not in opened:
+            args, sid_width, row_width = SID_FILES[name]
+            path = tmp_path_factory.mktemp("rows") / "t.rtrcx"
+            reader = _huge_file(path) if args is None else _sid_file(path, *args)
+            opened[name] = reader, sid_width, row_width
+        return opened[name]
+
+    yield open_file
+    for reader, _, _ in opened.values():
+        reader.close()
+
+
+@pytest.fixture(scope="module", params=["narrow", "wide"])
+def sid_reader(request, sid_files):
+    return sid_files(request.param)[0]
+
+
+def check_segment_rows(reader, data):
+    """``segment_rows`` of a drawn segment and sid set equals a per-row
+    loop over the segment's decoded sentence-id column."""
     n = len(reader.sentences)
     i = data.draw(st.integers(0, len(reader.segments) - 1))
     seg = reader.segments[i]
@@ -408,11 +416,51 @@ def test_segment_rows_match_a_per_row_loop(sid_reader, data):
     assert list(reader.segment_rows(i, None)) == list(range(len(sids)))
 
 
-def test_sid_file_covers_both_searches_and_an_empty_segment(sid_reader):
-    reader = sid_reader
-    assert any(seg.n_trans == 0 for seg in reader.segments)
-    narrow = [max(seg.sids) < 256 for seg in reader.segments if seg.sids]
-    assert all(narrow) if len(reader.sentences) < 256 else not all(narrow)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_segment_rows_match_a_per_row_loop(sid_reader, data):
+    check_segment_rows(sid_reader, data)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_segment_rows_match_a_per_row_loop_at_4_byte_widths(sid_files, data):
+    # a 70,000-row segment: the costly case, so fewer draws
+    check_segment_rows(sid_files("huge")[0], data)
+
+
+def test_segment_rows_of_a_sentence_only_a_mapping_names(tmp_path):
+    # the zone map holds a mapping's sentences too; their posting lists are
+    # empty, and a question about one reads no row
+    path = tmp_path / "t.rtrcx"
+    with ColumnarTraceWriter(path) as w:
+        w.transition(1.0, EventKind.ACTIVATE, A_SUM, node_id=0)
+        w.mapping(1.5, B_SUM, N0_SEND)
+        w.transition(2.0, EventKind.DEACTIVATE, A_SUM, node_id=0)
+    with ColumnarTraceReader(path) as reader:
+        sid = reader.sentences.index(B_SUM)
+        assert sid in reader.segments[0].sids
+        assert list(reader.segment_rows(0, {sid})) == []
+        assert list(reader.segment_rows(0, {sid, reader.sentences.index(A_SUM)})) == [0, 1]
+        pattern = SentencePattern("Sum", ("B",))
+        answer = evaluate_questions(reader, [PerformanceQuestion("b", (pattern,))])
+        assert answer["b"].transitions == 0
+
+
+@pytest.mark.parametrize("name", sorted(SID_FILES))
+def test_sid_file_has_the_column_widths_it_is_built_for(sid_files, name):
+    reader, sid_width, row_width = sid_files(name)
+    from repro.trace.columnar import COL_POST_ROWS, COL_SID
+
+    widest = {COL_SID: 0, COL_POST_ROWS: 0}
+    for i, seg in enumerate(reader.segments):
+        for cid in widest:
+            if seg.n_trans:
+                width = reader._columns(i)[cid][1] // seg.n_trans
+                widest[cid] = max(widest[cid], width)
+    assert widest == {COL_SID: sid_width, COL_POST_ROWS: row_width}
+    if sid_width < 4:
+        assert any(seg.n_trans == 0 for seg in reader.segments)
 
 
 class TestParallelIntervals:

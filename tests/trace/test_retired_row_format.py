@@ -1,10 +1,12 @@
-"""A row ``.rtrc`` file, a layout no longer read, fails loudly everywhere.
+"""Retired trace layouts fail loudly everywhere.
 
-The bytes carry the row layout's header magic, version byte, empty
-metadata and trailer magic; every entry point must refuse them with a
-clean error: a :class:`~repro.trace.CodecError` from the library, exit
-code 2 and a one-line ``repro: error:`` message from the CLI (no
-traceback), and an NV000 finding from ``repro lint``.
+Two retired layouts: a row ``.rtrc`` file (the row header magic, version
+byte, empty metadata and trailer magic) and a version-1 ``.rtrcx`` file
+(``golden/leak_v1.rtrcx``, the lint corpus trace as shipped before the
+version-2 layout).  Every entry point must refuse them with a clean
+error: a :class:`~repro.trace.CodecError` from the library, exit code 2
+and a one-line ``repro: error:`` message from the CLI (no traceback), and
+an NV000 finding from ``repro lint``.
 """
 
 import json
@@ -19,12 +21,23 @@ from repro.cli import main
 from repro.trace import CodecError, open_trace
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
+V1_FILE = Path(__file__).parent / "golden" / "leak_v1.rtrcx"
+
+#: retired layout -> (its bytes, what open_trace says about them)
+RETIRED = {
+    "row": (b"RTRC" + bytes([1, 0]) + bytes(40) + b"CRTR", "not an .rtrcx"),
+    "v1": (V1_FILE.read_bytes(), r"unsupported version 1 \(want 2"),
+}
 
 
-@pytest.fixture(params=["run.rtrc", "run.rtrcx"], ids=["rtrc-name", "rtrcx-name"])
+@pytest.fixture(
+    params=[("row", "run.rtrc"), ("row", "run.rtrcx"), ("v1", "run.rtrc"), ("v1", "run.rtrcx")],
+    ids=["rtrc-name", "rtrcx-name", "v1-rtrc-name", "v1-rtrcx-name"],
+)
 def row_file(request, tmp_path):
-    path = tmp_path / request.param
-    path.write_bytes(b"RTRC" + bytes([1, 0]) + bytes(40) + b"CRTR")
+    layout, name = request.param
+    path = tmp_path / name
+    path.write_bytes(RETIRED[layout][0])
     return path
 
 
@@ -34,7 +47,8 @@ def no_debug(monkeypatch):
 
 
 def test_open_trace_raises_codecerror(row_file):
-    with pytest.raises(CodecError, match="not an .rtrcx"):
+    refusal = dict(RETIRED.values())[row_file.read_bytes()]
+    with pytest.raises(CodecError, match=refusal):
         open_trace(row_file)
 
 

@@ -233,10 +233,11 @@ def test_columnar_replay_builds_no_events(tmp_path, monkeypatch, seed):
 
 
 def test_columnar_deactivate_of_non_active_sentence_raises(tmp_path):
-    # a flipped KIND byte turns the first activation into a deactivation
-    # at depth 0: the sid replay reports it as the engine's transition()
-    # does for an event replay
-    from repro.trace.columnar import COL_KIND
+    # a flipped KIND byte turns the first activation (activate and
+    # membership bits, 3) into a membership-changing deactivation (2): the
+    # sid replay reports the leave of a non-member as the engine's
+    # transition() does a deactivation at depth 0 for an event replay
+    from repro.trace.columnar import COL_KIND, KIND_ACTIVATE, KIND_MEMBER
 
     trace = random_trace(2, events=40, nodes=1, sentences=4)
     path = tmp_path / "t.rtrcx"
@@ -244,8 +245,8 @@ def test_columnar_deactivate_of_non_active_sentence_raises(tmp_path):
     with open_trace(str(path)) as reader:
         pos, _nbytes = reader._columns(0)[COL_KIND]
     blob = bytearray(path.read_bytes())
-    assert blob[pos] == 1
-    blob[pos] = 0
+    assert blob[pos] == KIND_ACTIVATE | KIND_MEMBER
+    blob[pos] = KIND_MEMBER
     path.write_bytes(bytes(blob))
     with open_trace(str(path)) as reader:
         with pytest.raises(ValueError, match="deactivate of non-active sentence"):
