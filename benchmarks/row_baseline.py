@@ -17,6 +17,10 @@ record's (0.0 at the start, a snapshot's own time after one), so
 same-instant records cost one byte.  The footer holds the string and
 sentence tables, the transition count, the time bounds and the snapshot
 index; the last 8 bytes its offset.
+
+:func:`replay_questions` answers questions over this layout the way the
+package did before every replay went by sentence id through the columnar
+reader: it walks every decoded event and counts nesting depth itself.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from __future__ import annotations
 import bisect
 import struct
 
+from repro.core import MultiQuestionEngine, nouns
 from repro.core.events import EventKind, SentenceEvent
-from repro.trace import SASState
+from repro.trace import RetroAnswer, SASState, question_name
 from repro.trace.codec import (
     SentenceTable,
     StringTable,
@@ -195,6 +200,9 @@ class RowBaselineReader:
                 kind = EventKind.ACTIVATE if activate else EventKind.DEACTIVATE
                 yield SentenceEvent(time, kind, sentences[sid], node)
 
+    def __iter__(self):
+        return self.events()
+
     def time_bounds(self) -> tuple[float, float] | None:
         return self._bounds if self.transitions else None
 
@@ -218,3 +226,37 @@ class RowBaselineReader:
                 for node, sid, times in rec[2]:
                     state.nodes.setdefault(node, {})[sentences[sid]] = list(times)
         return state
+
+
+def replay_questions(reader: RowBaselineReader, questions, end_time: float) -> dict:
+    """``evaluate_questions`` by event replay: every decoded event, its
+    sentence looked up in a table of the reader's sentences, nesting depth
+    counted per sentence across nodes, and each outermost activation and
+    last deactivation fed to a fresh engine bound to that table."""
+    engine = MultiQuestionEngine(table=nouns.SentenceTable(reader.sentences))
+    subs = [(question_name(q), engine.subscribe(q)) for q in questions]
+    sid_of = engine.table.sid
+    change = engine.membership_change_sid
+    activate = EventKind.ACTIVATE
+    depth: dict[int, int] = {}
+    for event in reader.events():
+        sid = sid_of(event.sentence)
+        d = depth.get(sid, 0)
+        if event.kind is activate:
+            depth[sid] = d + 1
+            if not d:
+                change(sid, True, event.time)
+        else:
+            depth[sid] = d - 1
+            if d == 1:
+                change(sid, False, event.time)
+    return {
+        name: RetroAnswer(
+            name=name,
+            satisfied_time=sub.watcher.total_satisfied_time(end_time),
+            transitions=sub.watcher.transitions,
+            satisfied_at_end=sub.watcher.satisfied,
+            end_time=end_time,
+        )
+        for name, sub in subs
+    }

@@ -8,7 +8,8 @@ snapshot frame every 256 -- kept as a baseline in
 * **seek**: reconstructing the SAS at random times through the columnar
   segment index vs the row snapshot index vs a bare linear replay;
 * **Figure-6 retro query**: a two-sentence conjunction question answered
-  by the question engine.  The row reader replays every record; the
+  by the question engine.  The row side replays every record as an event,
+  counting nesting depth itself (``row_baseline.replay_questions``); the
   columnar reader pushes the question's sentence-id set into the scan,
   prunes segments by zone map, and decodes only the transition columns --
   the tentpole claim is >= 3x on queries touching <= 2 of the interned
@@ -20,6 +21,10 @@ snapshot frame every 256 -- kept as a baseline in
 * **lint**: trace sanitization throughput on both layouts (``repro lint``
   on the columnar file, ``sanitize_trace`` over the row reader), plus the
   parallel segment scan (``--jobs``) on the columnar file.
+
+The fig7 and lint row sides call the package's functions on the row
+reader, which encode its decoded events into an in-memory ``.rtrcx``
+first; those two rows are reported, not gated, and say so.
 
 Two side measurements ride along: the vectorized windowed-mapping pairing
 kernel (``_window_pairs``) vs the seed's quadratic cross product, and a
@@ -63,7 +68,7 @@ from repro.trace import (
 from repro.trace.retro import _window_pairs
 from repro.unixsim import FunctionSpec, run_figure7_study
 from repro.workloads import random_trace
-from row_baseline import RowBaselineReader, RowBaselineWriter
+from row_baseline import RowBaselineReader, RowBaselineWriter, replay_questions
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
@@ -159,20 +164,20 @@ def _measure_query(row_path: str, col_path: str) -> dict:
         )
     ]
     end = row.time_bounds()[1]
-    row_ans = evaluate_questions(row, questions, end_time=end)
+    row_ans = replay_questions(row, questions, end)
     col_ans = evaluate_questions(col, questions, end_time=end)
     assert {k: vars(v) for k, v in row_ans.items()} == {
         k: vars(v) for k, v in col_ans.items()
     }, "columnar question answers diverged from row replay"
 
-    row_t = _best_of(lambda: evaluate_questions(row, questions, end_time=end), QUERY_ROUNDS)
+    row_t = _best_of(lambda: replay_questions(row, questions, end), QUERY_ROUNDS)
     col_t = _best_of(lambda: evaluate_questions(col, questions, end_time=end), QUERY_ROUNDS)
     pruned = col.prune_segments(
         sids=frozenset(i for i, s in enumerate(col.sentences) if s in (a, b))
     )
     rare = [PerformanceQuestion("rare", (SentencePattern("Probe", ("rare",)),))]
     rare_ans = evaluate_questions(col, rare, end_time=end)
-    assert vars(rare_ans["rare"]) == vars(evaluate_questions(row, rare, end_time=end)["rare"])
+    assert vars(rare_ans["rare"]) == vars(replay_questions(row, rare, end)["rare"])
     return {
         "question_sentences": 2,
         "satisfied_time": row_ans["conj"].satisfied_time,
@@ -436,16 +441,17 @@ def test_abl10_columnar(benchmark, save_artifact, artifact_dir, merge_bench):
          f"{seek['columnar_seeks_per_sec']:,.0f}", f"{seek['columnar_vs_row']:.2f}x"),
         ("fig6 conj query (s)", f"{query['row_query_s']:.4f}",
          f"{query['columnar_query_s']:.4f}", f"{query['speedup']:.1f}x"),
-        ("fig7 attribution (s)", f"{fig7['row_s']:.4f}",
+        ("fig7 attribution (s) *", f"{fig7['row_s']:.4f}",
          f"{fig7['columnar_s']:.4f}", f"{fig7['speedup']:.1f}x"),
-        ("lint sanitize (s)", f"{lint['row_s']:.4f}",
+        ("lint sanitize (s) *", f"{lint['row_s']:.4f}",
          f"{lint['columnar_s']:.4f}", f"{lint['speedup']:.1f}x"),
     ]
     text = (
         "Ablation 10 -- columnar .rtrcx store vs row-layout replay\n\n"
         f"workload: {seek['events']:,} transitions, {seek['segments']} segments\n\n"
         + text_table(rows, headers=("workload", "row", "columnar", "columnar wins"))
-        + "\n\n"
+        + "\n* row side: decoded row events encoded into an in-memory .rtrcx,\n"
+        "  then the columnar scan (reported, not gated)\n\n"
         f"zone-map pruning: the 2-sentence question scanned "
         f"{query['segments_scanned']}/{query['segments_total']} segments, "
         f"the rare-sentence one {query['rare_segments_scanned']}/{query['segments_total']}\n"

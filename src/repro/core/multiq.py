@@ -4,10 +4,12 @@ A Figure-6 question is satisfied while its patterns match the set of active
 sentences (Section 4.2).  :class:`MultiQuestionEngine` evaluates any number
 of questions over one stream of membership changes -- a live SAS's
 (:meth:`~repro.core.sas.ActiveSentenceSet.attach_question` subscribes to the
-engine the SAS owns), a recorded trace's
+engine the SAS owns; :meth:`MultiQuestionEngine.attach_sas` feeds another
+engine the same changes), a recorded trace's
 (:func:`repro.trace.retro.evaluate_question_batch`), or ``repro serve``'s --
 and shares the work between questions, so the marginal subscription is
-nearly free:
+nearly free.  The engine counts no nesting depth: its sources hand it
+only outermost activations and last deactivations, by sentence id.
 
 * **pattern interning** -- every subscription's
   :class:`~repro.core.questions.SentencePattern` is canonicalized
@@ -205,7 +207,7 @@ class Subscription:
     nids: tuple[int, ...]  # component order (ordered) / unique, in order (conj)
     program: list[tuple] | None  # expr: flattened children-first op list
     watcher: QuestionWatcher
-    created_at: int  # engine transition count at creation (dedup guard)
+    created_at: int  # engine membership-change count at creation (dedup guard)
     key: tuple  # structural-equivalence key
 
 
@@ -227,18 +229,16 @@ class _Shard:
 class MultiQuestionEngine:
     """Evaluate many questions over one transition stream, sharing work.
 
-    Membership, depth and the match memo are keyed on the sentence ids of
-    :attr:`table`.  Every :class:`~repro.core.sas.ActiveSentenceSet` owns
-    one engine, created at its first question on the SAS's own table, and
-    feeds it the membership changes the SAS computes anyway, by id
-    (:meth:`membership_change_sid`); a columnar replay binds a fresh
-    engine to the file's table and does the same
-    (:func:`repro.trace.retro.replay_batch`).  Raw transitions of
-    sentences, nested re-entrancy included, go through :meth:`transition`,
-    which looks each up in the table and keeps the engine's own depth map:
-    an event replay, or a live SAS hooked with :meth:`attach_sas`
-    (forwarded bus transitions included, since the bus applies them to the
-    replica SAS).
+    Membership and the match memo are keyed on the sentence ids of
+    :attr:`table`, and every change arrives by id
+    (:meth:`membership_change_sid`).  Every
+    :class:`~repro.core.sas.ActiveSentenceSet` owns one engine, created at
+    its first question on the SAS's own table, and feeds it the membership
+    changes the SAS computes anyway; :meth:`attach_sas` binds a fresh
+    engine to a SAS's table and has the SAS feed it too (forwarded bus
+    transitions included, since the bus applies them to the replica SAS);
+    a trace replay binds a fresh engine to the file's table and feeds it
+    the recorded changes (:func:`repro.trace.retro.replay_batch`).
     """
 
     def __init__(self, shards: int = 1, table: SentenceTable | None = None):
@@ -251,9 +251,10 @@ class MultiQuestionEngine:
         self._by_key: dict[tuple, int] = {}
         self._names: dict[str, int] = {}
         self.table = table if table is not None else SentenceTable()
-        # membership multiset + outermost activation times, by sentence id
-        self._depth: dict[int, int] = {}
+        # members and their outermost activation times, by sentence id
         self._active: dict[int, float] = {}
+        # True while a SAS feeds this engine (attach_sas)
+        self._attached = False
         # sentence id -> matching node ids (invalidated when nodes are added)
         self._match_cache: dict[int, tuple[int, ...]] = {}
         # counters: membership_changes is also the subscription dedup guard
@@ -510,8 +511,8 @@ class MultiQuestionEngine:
     @property
     def fresh(self) -> bool:
         """True while the engine has no member and no history: nothing
-        seeded, attached or replayed into it yet."""
-        return not (self._active or self._depth or self.membership_changes)
+        seeded or replayed into it, and no SAS's member attached."""
+        return not (self._active or self.membership_changes)
 
     # ------------------------------------------------------------------
     # evaluation
@@ -565,24 +566,6 @@ class MultiQuestionEngine:
             (sentences[sid], t) for sid, t in sorted(merged.items(), key=lambda st: st[1])
         ]
         return sub.question._match(entries, 0, -float("inf"))
-
-    def transition(self, sent: Sentence, became_active: bool, now: float) -> None:
-        """Feed one raw SAS transition (nested re-entrancy handled here)."""
-        sid = self.table.sid(sent)
-        depth = self._depth
-        d = depth.get(sid, 0)
-        if became_active:
-            depth[sid] = d + 1
-            if d:
-                return  # nested: membership and outermost times unchanged
-        else:
-            if d == 0:
-                raise ValueError(f"deactivate of non-active sentence {sent}")
-            if d > 1:
-                depth[sid] = d - 1
-                return
-            del depth[sid]
-        self.membership_change_sid(sid, became_active, now)
 
     def membership_change_sid(self, sid: int, joined: bool, now: float) -> None:
         """The sentence ``sid`` of :attr:`table` became a member (outermost
@@ -676,37 +659,43 @@ class MultiQuestionEngine:
                     node.entries.append((sid, t))
                     node.entries.sort(key=lambda st: st[1])
 
-    def attach_sas(self, sas) -> Callable[[Sentence, bool, float], None]:
-        """Hook every handled transition of ``sas`` into this engine.
+    def attach_sas(self, sas) -> Callable[[int, bool, float], None]:
+        """Have ``sas`` feed this engine the membership changes it computes.
 
-        The SAS's current membership (including re-entrant depth) seeds the
-        engine first, so questions subscribed afterwards evaluate against
-        true state; if the SAS is non-empty, every existing subscription is
-        then re-evaluated at the SAS's clock, as a question attached to it
-        now would be.  Returns the hook; pass it to
-        :meth:`detach_sas`.  Forwarded transitions applied to a replica SAS
-        by the :class:`~repro.dbsim.bus.ForwardingBus` flow through the same
-        ``on_transition`` hook, so attaching to the replica sees the fused
-        local + remote stream exactly as the SAS's own questions do.
+        The engine is bound to the SAS's sentence table, so it must be
+        :attr:`fresh` and observe no other SAS (ids of two tables must not
+        mix); otherwise ``ValueError``.  The SAS's current members seed it
+        first, so questions subscribed afterwards evaluate against true
+        state; if the SAS is non-empty, every existing subscription is then
+        re-evaluated at the SAS's clock, as a question attached to it now
+        would be.  The SAS feeds each later change where it feeds its own
+        engine, before any ``on_transition`` hook runs.  Forwarded
+        transitions applied to a replica SAS by the
+        :class:`~repro.dbsim.bus.ForwardingBus` change its membership like
+        local ones, so attaching to the replica sees the fused local +
+        remote stream exactly as the SAS's own questions do.  Returns the
+        hook; pass it to :meth:`detach_sas`.
         """
-        active = sas.active_sentences()
-        for sent in active:
-            sid = self.table.sid(sent)
-            self._depth[sid] = self._depth.get(sid, 0) + sas.activation_depth(sent)
-        self.seed(sas.active_with_times())
+        if self._attached or not self.fresh:
+            raise ValueError(
+                "engine already observes a SAS or has members or membership "
+                "changes; attach a fresh one"
+            )
+        self._attached = True
+        self.table = sas.table
+        active = sas.active_with_times()
+        self.seed(active)
         if active:
             now = sas.clock()
             for sub in self._subs:
                 sub.watcher._apply(self._evaluate(sub), now)
-
-        def hook(sent: Sentence, became_active: bool, now: float) -> None:
-            self.transition(sent, became_active, now)
-
-        sas.on_transition.append(hook)
+        hook = self.membership_change_sid
+        sas._membership_hooks.append(hook)
         return hook
 
     def detach_sas(self, sas, hook) -> None:
-        sas.on_transition.remove(hook)
+        sas._membership_hooks.remove(hook)
+        self._attached = False
 
     # ------------------------------------------------------------------
     # results

@@ -7,9 +7,9 @@ make.  This module closes that loop for the Section-4.2.3 database study:
 * :func:`questions_from_document` turns each MAPPING record of a
   :class:`~repro.pif.PIFDocument` into the Figure-6 performance question
   "measure the destination sentence while the source sentence is active";
-* :func:`run_db_scenario` runs :func:`~repro.dbsim.run_db_study` with a
-  trace recorder attached and answers those questions post-mortem over the
-  server's recorded view -- the same fused stream the live watchers saw;
+* :func:`run_db_scenario` runs :func:`~repro.dbsim.run_db_study` recording
+  into an in-memory ``.rtrcx`` and answers those questions post-mortem over
+  the server's recorded view -- the same fused stream the live watchers saw;
 * :func:`serialize_answers` renders the answers to stable bytes, so two
   runs driven by canonically-equal documents (one hand-written, one
   compiled from DSL source) can be compared for *byte* identity.
@@ -18,15 +18,13 @@ make.  This module closes that loop for the Section-4.2.3 database study:
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from io import BytesIO
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..core.questions import PerformanceQuestion, SentencePattern
-from ..core.events import SentenceEvent
 from ..pif.records import PIFDocument
 
 if TYPE_CHECKING:
-    from ..core.events import EventKind
-    from ..core.nouns import Sentence
     from ..dbsim.model import Query
     from ..dbsim.study import DBOutcome
     from ..trace.retro import RetroAnswer
@@ -36,21 +34,6 @@ __all__ = [
     "run_db_scenario",
     "serialize_answers",
 ]
-
-
-class _EventLog:
-    """Minimal shared recorder: an in-memory, replayable transition log."""
-
-    def __init__(self) -> None:
-        self.log: list[SentenceEvent] = []
-
-    def transition(
-        self, time: float, kind: "EventKind", sentence: "Sentence", node_id: int
-    ) -> None:
-        self.log.append(SentenceEvent(time, kind, sentence, node_id))
-
-    def __iter__(self) -> Iterator[SentenceEvent]:
-        return iter(self.log)
 
 
 def questions_from_document(doc: PIFDocument) -> list[PerformanceQuestion]:
@@ -96,14 +79,19 @@ def run_db_scenario(
     mapping-derived question reproduces the live watcher's satisfied time).
     """
     from ..dbsim.study import run_db_study  # local import: dbsim pulls in machine
+    from ..trace.columnar import ColumnarTraceReader, ColumnarTraceWriter
     from ..trace.retro import evaluate_questions
 
     questions = questions_from_document(doc)
-    log = _EventLog()
-    outcome = run_db_study(queries=queries, recorder=log, **study_kwargs)
+    buf = BytesIO()
+    with ColumnarTraceWriter(buf) as recorder:
+        outcome = run_db_study(queries=queries, recorder=recorder, **study_kwargs)
     server_node = study_kwargs.get("num_clients", 1)
     answers = evaluate_questions(
-        log, questions, end_time=outcome.elapsed, node=server_node
+        ColumnarTraceReader(buf.getvalue()),
+        questions,
+        end_time=outcome.elapsed,
+        node=server_node,
     )
     return outcome, answers
 

@@ -29,7 +29,6 @@ __getattr__, __dir__, __all__ = attach(
         ),
         "scan": (
             "filtered_intervals", "matching_sids", "parallel_intervals", "question_sids",
-            "scan_transitions",
         ),
     },
 )

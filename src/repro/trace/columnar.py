@@ -65,7 +65,7 @@ import sys
 from array import array
 from itertools import accumulate, chain, compress
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, BinaryIO, Iterable, Iterator, Sequence
 
 from ..core.events import EventKind, SentenceEvent, Trace
 from ..core.nouns import Sentence
@@ -176,6 +176,9 @@ def _frombytes(typecode: str, raw: bytes) -> array:
 
 #: sentinel distinguishing "no node filter" from "node None"
 ALL_NODES = object()
+
+#: the ``path`` of a writer to a file object and of a reader over bytes
+_IN_MEMORY = "<in-memory trace>"
 
 
 def map_readonly(path: str):
@@ -379,19 +382,29 @@ class ColumnarTraceWriter:
     whose flush raised is closed without a footer, so its file never opens
     as a complete trace.  The SAS and the simulator never produce such
     records.
+
+    ``path`` names the file to write, or is a binary file object (an
+    ``io.BytesIO``) written in its place and left open at :meth:`close`;
+    :class:`ColumnarTraceReader` reads the bytes back.
     """
 
     def __init__(
         self,
-        path: str | Path,
+        path: str | Path | BinaryIO,
         segment_records: int = 4096,
         metadata: dict | None = None,
     ):
         if segment_records < 1:
             raise ValueError("segment_records must be >= 1")
-        self.path = str(path)
         self.segment_records = segment_records
-        self._fh = open(self.path, "wb")
+        if hasattr(path, "write"):
+            self.path = _IN_MEMORY
+            self._fh = path
+            self._release = path.flush
+        else:
+            self.path = str(path)
+            self._fh = open(self.path, "wb")
+            self._release = self._fh.close
         header = bytearray(MAGIC_X)
         header.append(VERSION_X)
         raw = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
@@ -736,7 +749,7 @@ class ColumnarTraceWriter:
         for sas, hook in self._attached:
             sas.detach_recorder(hook)
         self._attached.clear()
-        self._fh.close()
+        self._release()
 
     def close(self) -> None:
         """Flush the open segment, write footer + trailer (idempotent)."""
@@ -775,7 +788,7 @@ class ColumnarTraceWriter:
         self._fh.write(footer)
         self._fh.write(_U64.pack(self._offset))
         self._fh.write(MAGIC_X_END)
-        self._fh.close()
+        self._release()
         self._closed = True
 
     def __enter__(self) -> "ColumnarTraceWriter":
@@ -794,11 +807,17 @@ class ColumnarTraceReader:
     Opening decodes only the footer (tables + zone maps); record bytes are
     touched lazily, column by column, as scans demand them.  The event
     iterators yield values equal, record for record, to what was recorded.
+    ``path`` names the file, or is the ``bytes`` of one, read in place
+    (:attr:`in_memory`: no file a sweep worker could reopen).
     """
 
-    def __init__(self, path: str | Path):
-        self.path = str(path)
-        data = map_readonly(self.path)
+    def __init__(self, path: str | Path | bytes):
+        self.in_memory = isinstance(path, bytes)
+        if self.in_memory:
+            self.path, data = _IN_MEMORY, path
+        else:
+            self.path = str(path)
+            data = map_readonly(self.path)
         if len(data) < len(MAGIC_X) + 1 + 12 or data[: len(MAGIC_X)] != MAGIC_X:
             raise CodecError(f"{self.path}: not an .rtrcx file")
         if data[len(MAGIC_X)] != VERSION_X:
@@ -1072,13 +1091,16 @@ class ColumnarTraceReader:
         activate, deactivate = EventKind.ACTIVATE, EventKind.DEACTIVATE
         for i in range(len(self.segments)):
             times, sids, kinds, nodes = self.segment_transitions(i)
-            for j in range(len(times)):
-                yield SentenceEvent(
-                    times[j],
-                    activate if kinds[j] & KIND_ACTIVATE else deactivate,
-                    sentences[sids[j]],
-                    decode_node(nodes[j]),
-                )
+            try:
+                for j in range(len(times)):
+                    yield SentenceEvent(
+                        times[j],
+                        activate if kinds[j] & KIND_ACTIVATE else deactivate,
+                        sentences[sids[j]],
+                        decode_node(nodes[j]),
+                    )
+            except IndexError as exc:
+                raise CodecError(f"{self.path}: sentence id out of range in segment {i}") from exc
 
     def __iter__(self) -> Iterator[SentenceEvent]:
         return self.events()
@@ -1177,50 +1199,6 @@ class ColumnarTraceReader:
                 raise CodecError(f"{self.path}: corrupt segment {i} columns") from exc
 
     # -- scans ---------------------------------------------------------------
-    def scan_transitions(
-        self,
-        sids: frozenset[int] | set[int] | None = None,
-        t_min: float | None = None,
-        t_max: float | None = None,
-        node: Any = ALL_NODES,
-    ) -> Iterator[SentenceEvent]:
-        """Filtered transition scan: the columnar fast path.
-
-        Segments whose zone map cannot intersect the filter (no sentence-id
-        overlap, disjoint time range) are skipped without touching their
-        bytes; surviving segments decode only the four transition columns,
-        select the ``sids`` rows with :meth:`segment_rows`' byte search, and
-        materialize events only for those rows.
-        """
-        sentences = self.sentences
-        activate, deactivate = EventKind.ACTIVATE, EventKind.DEACTIVATE
-        want_node = None if node is ALL_NODES else encode_node(node)
-        for i, seg in enumerate(self.segments):
-            if not seg.n_trans:
-                continue
-            if t_min is not None and seg.trans_t_max < t_min:
-                continue
-            if t_max is not None and seg.t_min > t_max:
-                continue
-            if sids is not None and not (seg.sids & sids):
-                continue
-            times, seg_sids, kinds, nodes = self.segment_transitions(i)
-            rows = self.segment_rows(i, sids)
-            lo, hi = 0, len(rows)
-            if t_min is not None:
-                lo = bisect.bisect_left(rows, bisect.bisect_left(times, t_min))
-            if t_max is not None:
-                hi = bisect.bisect_left(rows, bisect.bisect_right(times, t_max))
-            for j in rows[lo:hi]:
-                if want_node is not None and nodes[j] != want_node:
-                    continue
-                yield SentenceEvent(
-                    times[j],
-                    activate if kinds[j] & KIND_ACTIVATE else deactivate,
-                    sentences[seg_sids[j]],
-                    decode_node(nodes[j]),
-                )
-
     def prune_segments(
         self,
         sids: frozenset[int] | set[int] | None = None,
@@ -1253,13 +1231,16 @@ class ColumnarTraceReader:
         state = self.segment_state(idx)
         times, sids, kinds, nodes = self.segment_transitions(idx)
         sentences = self.sentences
-        for j in range(bisect.bisect_right(times, time)):
-            state.apply_transition(
-                sentences[sids[j]],
-                bool(kinds[j] & KIND_ACTIVATE),
-                times[j],
-                decode_node(nodes[j]),
-            )
+        try:
+            for j in range(bisect.bisect_right(times, time)):
+                state.apply_transition(
+                    sentences[sids[j]],
+                    bool(kinds[j] & KIND_ACTIVATE),
+                    times[j],
+                    decode_node(nodes[j]),
+                )
+        except IndexError as exc:
+            raise CodecError(f"{self.path}: sentence id out of range in segment {idx}") from exc
         return state
 
     # -- summaries -----------------------------------------------------------

@@ -2,8 +2,10 @@
 
 The live SAS answers performance questions *as the run happens*; this module
 answers them *after* the run, from a recorded history (a
-:class:`~repro.trace.columnar.ColumnarTraceReader`, an in-memory
-:class:`~repro.core.events.Trace`, or any event iterable):
+:class:`~repro.trace.columnar.ColumnarTraceReader`, or an in-memory
+:class:`~repro.core.events.Trace` or any event iterable, which is encoded
+into an in-memory ``.rtrcx`` first: every answer comes from one columnar
+replay):
 
 * :func:`evaluate_question_batch` (also exported as
   :func:`evaluate_questions`) replays the recorded transitions, stamped
@@ -31,7 +33,6 @@ from heapq import heappop, heappush
 from itertools import chain
 from typing import Callable, Sequence
 
-from ..core.events import EventKind
 from ..core.multiq import MultiQuestionEngine
 from ..core.nouns import Sentence, SentenceTable
 from ..core.questions import OrderedQuestion, PerformanceQuestion, QExpr, SentencePattern
@@ -39,7 +40,7 @@ from .columnar import ALL_NODES
 from .scan import (
     Matcher,
     _as_predicate,
-    _iter_source_events,
+    _columnar,
     feed_membership_changes,
     filtered_intervals,
     membership_changes,
@@ -132,30 +133,28 @@ def batch_event_plan(
 ):
     """Pick the replay of a whole question batch at once.
 
-    A columnar reader replays by sentence id: only the sentences the
-    questions' patterns can observe matter (satisfaction cannot depend on
-    any other sentence), as one union sentence-id set for *all* questions,
-    so the entire batch is answered in one zone-map-pruned pass that reads
-    only the rows holding those ids, node filter included, and yields their
+    The replay goes by sentence id: only the sentences the questions'
+    patterns can observe matter (satisfaction cannot depend on any other
+    sentence), as one union sentence-id set for *all* questions, so the
+    entire batch is answered in one zone-map-pruned pass that reads only
+    the rows holding those ids, node filter included, and yields their
     membership changes (:func:`~repro.trace.scan.membership_changes`); no
-    event is built.  When the caller leaves ``end_time`` defaulted, the
-    default is the last *replayed* transition's time, which a filtered
-    replay would change -- so it comes from the reader's transitions-only
-    bound instead (for a node filter, that node's last transition, found by
-    walking the segments backwards; 0.0 when the node has none).
+    event is built.  A source that is not a columnar reader is encoded
+    into an in-memory one first.  When the caller leaves ``end_time``
+    defaulted, the default is the last *replayed* transition's time, which
+    a filtered replay would change -- so it comes from the reader's
+    transitions-only bound instead (for a node filter, that node's last
+    transition, found by walking the segments backwards; 0.0 when the node
+    has none).
 
-    Every other source (in-memory trace, iterable) replays its events.
-    Returns ``(events, node_filtered, end)``: ``node_filtered`` says
-    ``events`` are the columnar membership changes ``(sid, joined, time)``,
-    ``node`` filter applied; otherwise they are the source's
-    :class:`~repro.core.events.SentenceEvent`\\ s.  ``end`` is the resolved
-    end time (``None`` means "last replayed event's time", resolved by the
-    caller).
+    Returns ``(changes, node_filtered, end)``: the membership changes
+    ``(sid, joined, time)``, ``node`` filter applied; ``node_filtered``,
+    which is always ``True`` (every replay is pushed down); and the
+    resolved end time.
     """
-    if hasattr(source, "segment_rows"):
-        sids, want, end = _sid_plan(source, questions, end_time, node)
-        return membership_changes(source, sids, want), True, end
-    return _iter_source_events(source), False, end_time
+    reader = _columnar(source)
+    sids, want, end = _sid_plan(reader, questions, end_time, node)
+    return membership_changes(reader, sids, want), True, end
 
 
 def replay_batch(
@@ -168,40 +167,23 @@ def replay_batch(
 ):
     """Replay the :func:`batch_event_plan` of ``questions`` into ``engine``.
 
-    A generator: it yields after every ``chunk`` membership changes (or,
-    for an event replay, transitions) it fed, never when ``chunk`` is 0,
-    so an asynchronous caller (``repro serve``) can flush streamed
-    intervals between chunks; it returns the end time answers close at.
-    On a columnar reader the engine, which must be fresh, is bound to the
-    file's sentence table, and the membership changes go by sentence id
-    straight to
+    A generator: it yields after every ``chunk`` membership changes it
+    fed, never when ``chunk`` is 0, so an asynchronous caller (``repro
+    serve``) can flush streamed intervals between chunks; it returns the
+    end time answers close at.  The engine, which must be fresh, is bound
+    to the reader's sentence table, and the membership changes go by
+    sentence id straight to
     :meth:`~repro.core.multiq.MultiQuestionEngine.membership_change_sid`,
     which a live SAS feeds too
-    (:func:`~repro.trace.scan.feed_membership_changes`); events go through
-    :meth:`~repro.core.multiq.MultiQuestionEngine.transition`, which
-    counts nesting itself.
+    (:func:`~repro.trace.scan.feed_membership_changes`).
     """
-    if hasattr(source, "segment_rows"):
-        sids, want, end = _sid_plan(source, questions, end_time, node)
-        engine.table = SentenceTable(source.sentences)
-        yield from feed_membership_changes(
-            source, sids, want, engine.membership_change_sid, chunk
-        )
-        return end
-    fed = 0
-    last = 0.0
-    transition = engine.transition
-    activate = EventKind.ACTIVATE
-    for event in _iter_source_events(source):
-        if node is not None and event.node_id != node:
-            continue
-        last = event.time
-        transition(event.sentence, event.kind is activate, last)
-        fed += 1
-        if fed == chunk:
-            fed = 0
-            yield
-    return end_time if end_time is not None else last
+    reader = _columnar(source)
+    sids, want, end = _sid_plan(reader, questions, end_time, node)
+    engine.table = SentenceTable(reader.sentences)
+    yield from feed_membership_changes(
+        reader, sids, want, engine.membership_change_sid, chunk
+    )
+    return end
 
 
 def evaluate_question_batch(
@@ -218,7 +200,7 @@ def evaluate_question_batch(
     :class:`~repro.core.multiq.MultiQuestionEngine` plan (interned patterns,
     subsumption-pruned matching, per-question dirty bits), and the recorded
     history, stamped with its recorded times, is replayed through it once
-    (:func:`replay_batch`: by sentence id on a columnar reader), so watcher
+    (:func:`replay_batch`: by sentence id), so watcher
     satisfied-times accumulate exactly as they did live.  ``node`` filters
     to one recording node's transitions (a multi-node file replayed whole
     feeds every node's transitions into one membership set, which is only
@@ -282,12 +264,12 @@ def sentence_intervals(
     sentence with per-sentence depth counting across nodes.  Still-open
     activations close at ``end_time`` (default: the last event's time).
 
-    ``matchers`` restricts the output to matching sentences -- on a
-    columnar reader the scan then *decodes* only those sentences' events
-    (zone-map segment pruning + sentence-id pushdown); ``jobs > 1``
-    additionally fans segment ranges across the sweep worker pool.
+    ``matchers`` restricts the output to matching sentences -- the scan
+    then *reads* only those sentences' rows (zone-map segment pruning +
+    sentence-id pushdown); ``jobs > 1`` additionally fans the segment
+    ranges of a trace file across the sweep worker pool.
     """
-    if jobs is not None and jobs > 1 and hasattr(source, "segment_transitions"):
+    if jobs is not None and jobs > 1:
         return parallel_intervals(source, matchers, end_time, jobs=jobs)
     return filtered_intervals(source, matchers, end_time)
 
@@ -387,7 +369,7 @@ def windowed_mappings(
     each source's destinations in first-activation order.
 
     ``jobs > 1`` computes the intervals with the parallel segment scan
-    (columnar sources only; everything downstream is unchanged).
+    (trace files only; everything downstream is unchanged).
     """
     matchers = (
         [src_filter, dst_filter]

@@ -3,56 +3,61 @@
 Every retrospective consumer -- the question engine, ``windowed_*``
 attribution, ``trace_stats``, the NV-lint sanitizer -- reduces to the same
 primitive: *the activation events of an interesting subset of sentences,
-over some time range*.  This module gives that primitive one front door
-over every trace source:
+over some time range*.  This module gives that primitive one front door,
+and one implementation: the columnar reader's.  Any other source (an
+in-memory :class:`~repro.core.events.Trace`, a bare event iterable) is
+encoded once into an in-memory ``.rtrcx`` and read back
+(:func:`_columnar`), so callers never branch on the source.
 
 * :func:`matching_sids` evaluates pattern/predicate filters against a
   reader's **sentence table** (footer-resident, a few hundred entries)
   instead of against millions of events, turning an arbitrary Python
   predicate into a sentence-id set a columnar scan can push down;
-* :func:`scan_transitions` dispatches to the columnar reader's zone-map
-  pruned column scan when the source supports it, and degrades to a plain
-  filtered replay for in-memory traces and bare iterables -- callers never
-  branch on the source;
 * :func:`filtered_intervals` is :func:`~repro.trace.retro.sentence_intervals`
   with pushdown: per-sentence depth counting touches only the filtered
-  sentences' events (exact, because depth is per-sentence state).  On a
-  columnar reader it counts by sentence id over the raw transition
-  columns and builds no event objects;
-* :func:`feed_membership_changes` is the question replay's columnar
-  source: it hands only the membership changes a question engine acts on,
-  as sentence ids, straight to the engine (:func:`membership_changes`
+  sentences' rows (exact, because depth is per-sentence state), counted
+  by sentence id over the raw transition columns; no event is built;
+* :func:`feed_membership_changes` is the question replay's source: it
+  hands only the membership changes a question engine acts on, as
+  sentence ids, straight to the engine (:func:`membership_changes`
   yields them instead).  Over all nodes they are the rows the writer
   marked with :data:`~repro.trace.columnar.KIND_MEMBER`; for one node it
-  counts that node's depth per sentence.  Every sid-filtered columnar
-  scan reads just the rows
+  counts that node's depth per sentence.  Every sid-filtered scan reads
+  just the rows
   :meth:`~repro.trace.columnar.ColumnarTraceReader.segment_rows` takes
   from the segment's posting lists;
-* :func:`parallel_intervals` fans contiguous segment ranges across the
-  sweep pool (:class:`~repro.sweep.runner.SweepRunner`), each worker
-  running the serial scan's own loop: it seeds per-sentence depth from its
-  first segment's embedded SAS snapshot, emits only intervals that *close*
-  inside its range (each interval closes in exactly one segment, so the
-  merge is concatenation), and the final range closes still-open
-  intervals at the end time.  Results travel as plain ``{sid: flat float
-  list}`` data through the pickle-free transport.
+* :func:`parallel_intervals` fans contiguous segment ranges of a trace
+  file across the sweep pool (:class:`~repro.sweep.runner.SweepRunner`),
+  each worker running the serial scan's own loop: it seeds per-sentence
+  depth from its first segment's embedded SAS snapshot, emits only
+  intervals that *close* inside its range (each interval closes in
+  exactly one segment, so the merge is concatenation), and the final
+  range closes still-open intervals at the end time.  Results travel as
+  plain ``{sid: flat float list}`` data through the pickle-free transport.
+  A trace held in memory has no file for a worker to reopen, so it is
+  scanned serially.
 """
 
 from __future__ import annotations
 
+from io import BytesIO
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from ..core.events import EventKind, SentenceEvent
 from ..core.nouns import Sentence
 from ..core.questions import OrderedQuestion, PerformanceQuestion, SentencePattern
 from .codec import CodecError, encode_node
-from .columnar import ALL_NODES, KIND_ACTIVATE, KIND_MEMBER, ColumnarTraceReader
+from .columnar import (
+    ALL_NODES,
+    KIND_ACTIVATE,
+    KIND_MEMBER,
+    ColumnarTraceReader,
+    ColumnarTraceWriter,
+)
 
 __all__ = [
     "matching_sids",
     "question_sids",
-    "scan_transitions",
     "feed_membership_changes",
     "membership_changes",
     "filtered_intervals",
@@ -122,60 +127,19 @@ def question_sids(
     return matching_sids(sentences, patterns)
 
 
-def _iter_source_events(source) -> Iterable[SentenceEvent]:
-    events = getattr(source, "events", None)
-    if callable(events):
-        return events()
-    return source
-
-
-def scan_transitions(
-    source,
-    sids: frozenset[int] | set[int] | None = None,
-    matchers: Iterable[Matcher] | None = None,
-    t_min: float | None = None,
-    t_max: float | None = None,
-    node: Any = ALL_NODES,
-) -> Iterator[SentenceEvent]:
-    """Filtered transition scan over any trace source.
-
-    Columnar readers prune segments by zone map, decode only the
-    transition columns and build events only for the rows their sid
-    search finds; every other source (in-memory trace, bare iterable)
-    replays with the same filters applied eventwise, so the yielded
-    stream is identical either way.  ``sids`` filters by sentence table id
-    (columnar readers only); ``matchers`` by pattern or predicate (any
-    source); both may combine.
-    """
-    fast = getattr(source, "scan_transitions", None)
-    preds = [_as_predicate(m) for m in matchers] if matchers is not None else None
-    if callable(fast):
-        if preds is not None:
-            matched = matching_sids(source.sentences, matchers)
-            sids = matched if sids is None else frozenset(sids) & matched
-        yield from fast(sids=sids, t_min=t_min, t_max=t_max, node=node)
-        return
-    if sids is not None:
-        raise TypeError(
-            "sid filtering needs a columnar reader; pass matchers= for plain event sources"
-        )
-    for event in _iter_source_events(source):
-        if t_min is not None and event.time < t_min:
-            continue
-        if t_max is not None and event.time > t_max:
-            break  # sources yield in recorded (monotone) time order
-        if node is not ALL_NODES and event.node_id != node:
-            continue
-        if preds is not None and not any(p(event.sentence) for p in preds):
-            continue
-        yield event
-
-
-def _last_transition_time(source) -> float | None:
-    last = None
-    for event in _iter_source_events(source):
-        last = event.time
-    return last
+def _columnar(source) -> ColumnarTraceReader:
+    """``source`` as a columnar reader: a reader as it is; anything else (an
+    in-memory trace, an event iterable) recorded once by
+    :meth:`~repro.trace.columnar.ColumnarTraceWriter.record_trace` into an
+    in-memory ``.rtrcx`` and read back.  The writer checks the events as
+    it does a recording's: a deactivation with no activation on its node,
+    or time going backwards, raises ``ValueError``."""
+    if isinstance(source, ColumnarTraceReader):
+        return source
+    buf = BytesIO()
+    with ColumnarTraceWriter(buf) as writer:
+        writer.record_trace(source)
+    return ColumnarTraceReader(buf.getvalue())
 
 
 def filtered_intervals(
@@ -186,55 +150,20 @@ def filtered_intervals(
     """Flattened activation intervals, restricted to matching sentences.
 
     Equivalent to :func:`~repro.trace.retro.sentence_intervals` followed by
-    dropping non-matching sentences -- but computed *without* decoding the
-    non-matching sentences' events, because per-sentence depth counting
+    dropping non-matching sentences -- but computed *without* reading the
+    non-matching sentences' rows, because per-sentence depth counting
     never looks across sentences.  Still-open activations close at
     ``end_time`` (default: the last transition's time **of the whole
     trace**, filtered or not, matching the unfiltered semantics).  Keys
     come in first-activation order.
 
-    A columnar reader is flattened by sentence id, straight from its
-    transition columns (:func:`_flatten_segments`, the loop the parallel
-    scan runs too); no :class:`SentenceEvent` is built.  Every other
-    source replays its events.
+    Intervals are flattened by sentence id, straight from the transition
+    columns (:func:`_flatten_segments`, the loop the parallel scan runs
+    too); no :class:`~repro.core.events.SentenceEvent` is built.
     """
-    if hasattr(source, "segment_transitions"):
-        sids, indices, end = _columnar_plan(source, matchers, end_time)
-        return _sentence_keyed(
-            source, _flatten_segments(source, indices, sids, end)
-        )
-    track_last = matchers is None and end_time is None
-    if matchers is not None and end_time is None:
-        if not callable(getattr(source, "events", None)):
-            source = list(source)  # one-shot iterable: make it re-iterable
-        end_time = _last_transition_time(source)
-    depth: dict[Sentence, int] = {}
-    start: dict[Sentence, float] = {}
-    out: dict[Sentence, list[tuple[float, float]]] = {}
-    last = 0.0
-    activate = EventKind.ACTIVATE  # bound once, not looked up per event
-    for event in scan_transitions(source, matchers=matchers):
-        last = event.time
-        sent = event.sentence
-        d = depth.get(sent, 0)
-        if event.kind is activate:
-            if d == 0:
-                start[sent] = event.time
-                out.setdefault(sent, [])
-            depth[sent] = d + 1
-        else:
-            if d == 0:
-                raise ValueError(f"deactivate without activate for {sent}")
-            depth[sent] = d - 1
-            if d == 1:
-                out[sent].append((start.pop(sent), event.time))
-    if track_last:
-        end = last
-    else:
-        end = end_time if end_time is not None else 0.0
-    for sent, s in start.items():
-        out[sent].append((s, end))
-    return out
+    reader = _columnar(source)
+    sids, indices, end = _columnar_plan(reader, matchers, end_time)
+    return _sentence_keyed(reader, _flatten_segments(reader, indices, sids, end))
 
 
 # ----------------------------------------------------------------------
@@ -281,29 +210,32 @@ def _flatten_segments(
             start[sid] = s
             out[sid] = []
     activate = KIND_ACTIVATE
-    for idx in indices:
-        times, seg_sids, kinds, _nodes = reader.segment_transitions(idx)
-        if sids is None:
-            rows = zip(times, seg_sids, kinds)
-        else:
-            rows = _select(reader.segment_rows(idx, sids), times, seg_sids, kinds)
-        for t, sid, kind in rows:
-            d = depth[sid]
-            if kind & activate:
-                depth[sid] = d + 1
-                if not d:
-                    start[sid] = t
-                    if sid not in out:
-                        out[sid] = []
-            elif d == 1:
-                depth[sid] = 0
-                out[sid] += (start[sid], t)
-            elif d:
-                depth[sid] = d - 1
+    try:
+        for idx in indices:
+            times, seg_sids, kinds, _nodes = reader.segment_transitions(idx)
+            if sids is None:
+                rows = zip(times, seg_sids, kinds)
             else:
-                raise ValueError(
-                    f"deactivate without activate for {reader.sentences[sid]}"
-                )
+                rows = _select(reader.segment_rows(idx, sids), times, seg_sids, kinds)
+            for t, sid, kind in rows:
+                d = depth[sid]
+                if kind & activate:
+                    depth[sid] = d + 1
+                    if not d:
+                        start[sid] = t
+                        if sid not in out:
+                            out[sid] = []
+                elif d == 1:
+                    depth[sid] = 0
+                    out[sid] += (start[sid], t)
+                elif d:
+                    depth[sid] = d - 1
+                else:
+                    raise ValueError(
+                        f"deactivate without activate for {reader.sentences[sid]}"
+                    )
+    except IndexError as exc:
+        raise CodecError(f"{reader.path}: sentence id out of range in a scan") from exc
     if close_at is not None:
         for sid, d in enumerate(depth):
             if d:
@@ -340,9 +272,9 @@ def feed_membership_changes(
     join and leave per sentence; for one node, depth counts per sentence
     id over that node's rows.  Either way only the outermost activation
     (0 -> 1) and the last deactivation (1 -> 0) reach ``change``, with the
-    reader's sentence ids -- what
-    :meth:`~repro.core.multiq.MultiQuestionEngine.transition` would pass
-    on from the same transitions, with no event or sentence touched.  A
+    reader's sentence ids -- what a live SAS hands its engine
+    (:meth:`~repro.core.multiq.MultiQuestionEngine.membership_change_sid`)
+    for the same transitions, with no event or sentence touched.  A
     generator: it yields after every ``chunk`` changes (never when
     ``chunk`` is 0, so one ``next`` runs the whole replay).
 
@@ -426,7 +358,7 @@ def _sentence_keyed(reader, flat_by_sid: dict[int, list[float]]):
 
 
 # ----------------------------------------------------------------------
-# parallel segment scans (columnar only)
+# parallel segment scans (trace files only)
 # ----------------------------------------------------------------------
 #: per-process reader cache: workers reopen each trace file once, then
 #: every chunk routed to that worker reuses the mmap
@@ -460,9 +392,10 @@ def parallel_intervals(
 ) -> dict[Sentence, list[tuple[float, float]]]:
     """:func:`filtered_intervals` fanned across the sweep worker pool.
 
-    Only columnar readers parallelize (segments are the unit of
-    independence); every other source falls back to the serial scan.
-    Zone-map pruning happens *before* fan-out, so workers never open a
+    Segments are the unit of independence, and each worker reopens the
+    trace file; a trace held in memory (an in-memory reader, or a source
+    :func:`_columnar` encodes) has no file to reopen, so it is scanned
+    serially and no pool is started.  Zone-map pruning happens *before* fan-out, so workers never open a
     segment with no matching sentence.  Each worker runs the serial scan's
     own loop (:func:`_flatten_segments`) over a contiguous segment range,
     and the merge concatenates per-range results in range order, keeping
@@ -470,7 +403,8 @@ def parallel_intervals(
     one segment, and each sentence is filed at its first activation, so
     the output equals the serial one, key order included.
     """
-    if not hasattr(reader, "segment_transitions"):
+    reader = _columnar(reader)
+    if reader.in_memory:
         return filtered_intervals(reader, matchers, end_time)
     sids, pruned, close = _columnar_plan(reader, matchers, end_time)
     if not pruned:

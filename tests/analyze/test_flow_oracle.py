@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.analyze import table_dead_patterns, verify_graph
 from repro.core import (
+    ActiveSentenceSet,
     EventKind,
     MultiQuestionEngine,
     OrderedQuestion,
@@ -193,10 +194,16 @@ def test_static_dead_verdicts_match_the_live_engine(seed):
         for name, q in ((q.name, q) for q in questions)
         if table_dead_patterns(q, table)
     ) == engine.dead_subscriptions(table)
+    # one SAS for every node counts depth across nodes
+    now = [0.0]
+    sas = ActiveSentenceSet(clock=lambda: now[0])
+    engine.attach_sas(sas)
     for event in trace.events():
-        engine.transition(
-            event.sentence, event.kind is EventKind.ACTIVATE, event.time
-        )
+        now[0] = event.time
+        if event.kind is EventKind.ACTIVATE:
+            sas.activate(event.sentence)
+        else:
+            sas.deactivate(event.sentence)
     for q in questions:
         if table_dead_patterns(q, table):
             watcher = subs[q.name].watcher

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 from repro.cli import main
+from repro.trace import ColumnarTraceReader
+from repro.trace.columnar import COL_SID
 
 CORPUS = Path(__file__).parent / "corpus"
 REPO = Path(__file__).resolve().parents[2]
@@ -65,6 +67,24 @@ def test_a_trace_is_recognised_by_its_magic_whatever_its_name(capsys, tmp_path):
         rc = main(["lint", "--format", "json", str(path)])
         codes = [d["code"] for d in json.loads(capsys.readouterr().out)["diagnostics"]]
         assert (rc, codes) == (1, ["NV013"])
+
+
+def test_a_trace_that_fails_to_decode_is_nv000_and_lint_goes_on(capsys, tmp_path):
+    # the file opens, but its first SID byte names sentence 200 of 7, so
+    # sanitizing it fails; the clean trace beside it is still linted
+    with ColumnarTraceReader(CORPUS / "leak.rtrcx") as reader:
+        pos, _nbytes = reader._columns(0)[COL_SID]
+    blob = bytearray((CORPUS / "leak.rtrcx").read_bytes())
+    blob[pos] = 200
+    corrupt = tmp_path / "corrupt.rtrcx"
+    corrupt.write_bytes(bytes(blob))
+    rc = main(["lint", "--format", "json", str(corrupt), str(CORPUS / "leak.rtrcx")])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    found = [(Path(d["path"]).name, d["code"]) for d in payload["diagnostics"]]
+    assert sorted(found) == [("corrupt.rtrcx", "NV000"), ("leak.rtrcx", "NV013")]
+    (nv000,) = [d for d in payload["diagnostics"] if d["code"] == "NV000"]
+    assert nv000["message"].startswith("cannot read trace: ")
 
 
 def test_mdl_library_gate_is_clean(capsys):

@@ -143,14 +143,14 @@ def test_engine_equals_naive_oracle(batch, script, shards):
         if depth.get(sent, 0) and not prefer_nested:
             d = depth[sent] - 1
             depth[sent] = d
-            engine.transition(sent, False, t)
             if d == 0:
+                engine.membership_change_sid(engine.table.sid(sent), False, t)
                 active = [(s, at) for s, at in active if s != sent]
         else:
             d = depth.get(sent, 0)
             depth[sent] = d + 1
-            engine.transition(sent, True, t)
             if d == 0:
+                engine.membership_change_sid(engine.table.sid(sent), True, t)
                 active.append((sent, t))
             else:
                 continue  # nested re-activation: no membership change
@@ -226,15 +226,15 @@ def test_midrun_subscription_equals_naive_oracle(warmup, late, script, split, sh
             if depth.get(sent, 0) and not prefer_nested:
                 d = depth[sent] - 1
                 depth[sent] = d
-                engine.transition(sent, False, t)
                 if d == 0:
+                    engine.membership_change_sid(engine.table.sid(sent), False, t)
                     active[:] = [(s, at) for s, at in active if s != sent]
                     yield t
             else:
                 d = depth.get(sent, 0)
                 depth[sent] = d + 1
-                engine.transition(sent, True, t)
                 if d == 0:
+                    engine.membership_change_sid(engine.table.sid(sent), True, t)
                     active.append((sent, t))
                     yield t
 

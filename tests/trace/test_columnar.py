@@ -5,6 +5,7 @@ The reference for every scan and retro answer is the in-memory
 event by event.
 """
 
+import io
 import random
 import re
 
@@ -12,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EventKind, Noun, PerformanceQuestion, SentencePattern, Verb, sentence
+from repro.core import (
+    EventKind,
+    Noun,
+    PerformanceQuestion,
+    SentencePattern,
+    Trace,
+    Verb,
+    sentence,
+)
 from repro.core.mapping import MappingOrigin
 from repro.sweep import SweepRunner
 from repro.trace import (
@@ -23,12 +32,13 @@ from repro.trace import (
     matching_sids,
     open_trace,
     parallel_intervals,
-    scan_transitions,
     sentence_intervals,
     trace_stats,
     windowed_mappings,
 )
 from repro.trace.codec import CodecError, append_uvarint
+from repro.trace.columnar import KIND_ACTIVATE
+from repro.trace.retro import evaluate_question_batch
 from repro.workloads import random_trace
 
 from .oracle import PerRecordColumnarWriter
@@ -270,34 +280,22 @@ class TestOpenTrace:
 
 
 class TestScanAPI:
-    def test_scan_transitions_matches_filtered_replay(self, tmp_path):
-        trace = random_trace(11, events=200, nodes=3)
-        col = record_columnar(tmp_path, trace, segment_records=24)
-        pat = SentencePattern(col.sentences[0].verb.name, ("?",) * len(col.sentences[0].nouns))
-        for t_min, t_max in [(None, None), (0.0, None), (None, 0.02), (0.005, 0.05)]:
-            want = [
-                (e.time, e.kind, e.sentence, e.node_id)
-                for e in scan_transitions(trace, matchers=[pat], t_min=t_min, t_max=t_max)
-            ]
-            got = [
-                (e.time, e.kind, e.sentence, e.node_id)
-                for e in scan_transitions(col, matchers=[pat], t_min=t_min, t_max=t_max)
-            ]
-            assert got == want
-
-    def test_sid_filter_needs_a_columnar_reader(self):
-        # sentence ids index a reader's table; an event source has none
-        with pytest.raises(TypeError, match="columnar reader"):
-            list(scan_transitions(random_trace(1, events=10), sids={0}))
-
     def test_zone_map_pruning_skips_segments(self, tmp_path):
         trace = random_trace(5, events=300, nodes=2, sentences=20)
         col = record_columnar(tmp_path, trace, segment_records=16)
         rare = trace.events()[0].sentence
         sids = matching_sids(col.sentences, [lambda s: s == rare])
-        assert len(col.prune_segments(sids=sids)) < len(col.segments)
-        got = [(e.time, e.kind) for e in col.scan_transitions(sids=sids)]
-        want = [(e.time, e.kind) for e in trace.events() if e.sentence == rare]
+        kept = col.prune_segments(sids=sids)
+        assert len(kept) < len(col.segments)
+        got = []
+        for i in kept:
+            times, _sids, kinds, _nodes = col.segment_transitions(i)
+            got += [(times[j], kinds[j] & KIND_ACTIVATE) for j in col.segment_rows(i, sids)]
+        want = [
+            (e.time, int(e.kind is EventKind.ACTIVATE))
+            for e in trace.events()
+            if e.sentence == rare
+        ]
         assert got == want
 
     def test_filtered_intervals_equals_postfiltered(self, tmp_path):
@@ -323,6 +321,61 @@ class TestScanAPI:
         last = len(r.segments) - 1
         open_at_last = r.segment_open_intervals(last)
         assert open_at_last[sid_a][1] == 1.0  # not 2.0: flattened start survives
+
+
+# ----------------------------------------------------------------------
+# in-memory sources: encoded once, then replayed as a columnar trace
+# ----------------------------------------------------------------------
+class TestInMemorySources:
+    def test_a_deactivation_on_a_node_that_never_activated_raises(self):
+        # cross-node depth would balance (node 0 opens, node 1 closes), but
+        # a recording balances per node, and so does the encoded replay
+        trace = Trace()
+        trace.record(1.0, EventKind.ACTIVATE, A_SUM, 0)
+        trace.record(2.0, EventKind.DEACTIVATE, A_SUM, 1)
+        question = PerformanceQuestion("a", (SentencePattern("Sum", ("A",)),))
+        with pytest.raises(ValueError, match="deactivate without activate"):
+            sentence_intervals(trace)
+        with pytest.raises(ValueError, match="deactivate without activate"):
+            evaluate_question_batch(trace, [question])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_intervals_equal_each_sentences_own_event_walk(self, seed):
+        # Trace.intervals walks one sentence's events: an independent
+        # reference for the encoded replay, key order included
+        trace = random_trace(seed, events=300, nodes=3, sentences=12)
+        order = dict.fromkeys(e.sentence for e in trace if e.kind is EventKind.ACTIVATE)
+        for end in (None, 99.0):
+            want = {sent: trace.intervals(sent, end) for sent in order}
+            assert list(sentence_intervals(trace, end).items()) == list(want.items())
+
+    def test_parallel_scan_of_an_in_memory_source_runs_serially(self, monkeypatch):
+        # there is no file a sweep worker could reopen, so no pool starts
+        import repro.sweep.runner
+
+        trace = random_trace(9, events=400, nodes=2)
+        serial = sentence_intervals(trace)
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a sweep pool was started for an in-memory trace")
+
+        monkeypatch.setattr(repro.sweep.runner, "SweepRunner", no_pool)
+        parallel = sentence_intervals(trace, jobs=2)
+        assert parallel == serial
+        assert list(parallel) == list(serial)
+
+    def test_in_memory_reader_reads_the_bytes_a_file_holds(self, tmp_path):
+        trace = random_trace(4, events=200, nodes=2)
+        col = record_columnar(tmp_path, trace, segment_records=32)
+        buf = io.BytesIO()
+        with ColumnarTraceWriter(buf, segment_records=32) as w:
+            w.record_trace(trace)
+        assert not buf.closed  # the caller's buffer stays open
+        mem = ColumnarTraceReader(buf.getvalue())
+        assert buf.getvalue() == open(col.path, "rb").read()
+        assert (mem.in_memory, col.in_memory) == (True, False)
+        assert list(mem.records()) == list(col.records())
+        assert sentence_intervals(mem, jobs=2) == sentence_intervals(col, jobs=2)
 
 
 # ----------------------------------------------------------------------

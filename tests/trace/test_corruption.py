@@ -10,15 +10,16 @@ and produced a different but well-formed trace) or raise
 this suite pins down: an unvalidated length or unbounded varint turns a
 flipped bit into a crash or a giant allocation.
 
-``seek()`` may additionally raise ``ValueError``: a flipped
-activate/deactivate bit decodes cleanly but replays as "deactivate
-without activate", which the SAS reports as a semantic error -- that is
-a *successful* decode of a different trace, not a codec escape.  The
-question replays (one question over all nodes, which reads the
-membership bits, one on a single node, which counts depth, and a chunked
-batch over every sentence) run before the full walk, so every mutation
-reaches them; they too may raise only ``CodecError`` or that
-``ValueError`` (a membership bit that no longer alternates).
+The read paths that replay what they decode -- the question replays (one
+question over all nodes, which reads the membership bits, one on a single
+node, which counts depth, and a chunked batch over every sentence), the
+event walk, the interval flattening and ``seek()`` -- run before the full
+``records()`` walk, so every mutation reaches each of them.  Besides
+``CodecError`` they may raise only ``ValueError``: a flipped
+activate/deactivate or membership bit decodes cleanly but replays as
+"deactivate without activate" or a membership change that no longer
+alternates -- a *successful* decode of a different trace, not a codec
+escape.  A sentence id past the table is a codec fault on every path.
 """
 
 import os
@@ -30,7 +31,8 @@ from hypothesis import strategies as st
 
 from repro.core import MultiQuestionEngine, PerformanceQuestion, SentencePattern
 from repro.trace import CodecError, ColumnarTraceReader, ColumnarTraceWriter, open_trace
-from repro.trace.retro import evaluate_question_batch, replay_batch
+from repro.trace.columnar import COL_SID
+from repro.trace.retro import evaluate_question_batch, replay_batch, sentence_intervals
 from repro.workloads import random_trace
 
 TRACE = random_trace(17, events=120, nodes=2)
@@ -69,6 +71,16 @@ def replay(reader) -> None:
         pass
 
 
+def mid_seek(reader) -> None:
+    bounds = reader.time_bounds()
+    if bounds is not None:
+        reader.seek((bounds[0] + bounds[1]) / 2)
+
+
+#: the read paths that replay what they decode
+REPLAYS = (replay, lambda reader: list(reader.events()), sentence_intervals, mid_seek)
+
+
 def exercise(blob: bytes) -> None:
     """Open the blob and touch every decode surface.
 
@@ -80,18 +92,13 @@ def exercise(blob: bytes) -> None:
             fh.write(blob)
         reader = ColumnarTraceReader(path)
         reader.info()
-        try:
-            replay(reader)
-        except (CodecError, ValueError):
-            pass  # a corrupt column, or membership that no longer alternates
-        list(reader.records())
-        bounds = reader.time_bounds()
-        reader.last_transition_time()
-        if bounds is not None:
+        for read in REPLAYS:
             try:
-                reader.seek((bounds[0] + bounds[1]) / 2)
-            except ValueError:
-                pass  # semantically inconsistent replay of a valid decode
+                read(reader)
+            except (CodecError, ValueError):
+                pass  # a corrupt column, or a replay of an inconsistent trace
+        list(reader.records())
+        reader.last_transition_time()
         reader.close()
 
 
@@ -127,6 +134,28 @@ def test_byte_run_stomp_never_escapes_codecerror(pos, run):
         exercise(blob)
     except CodecError:
         pass
+
+
+def test_sentence_id_past_the_table_raises_codecerror(tmp_path):
+    # the first SID byte of the last segment names sentence 200 of 14; its
+    # posting list still files the row under the sentence it named before
+    path = tmp_path / "t.rtrcx"
+    path.write_bytes(BASELINE)
+    with ColumnarTraceReader(path) as reader:
+        pos, _nbytes = reader._columns(len(reader.segments) - 1)[COL_SID]
+        was = reader.sentences[BASELINE[pos]]
+        assert len(reader.sentences) < 200
+    path.write_bytes(BASELINE[:pos] + bytes([200]) + BASELINE[pos + 1 :])
+    reader = ColumnarTraceReader(path)
+    for read in (
+        lambda: list(reader.events()),
+        lambda: sentence_intervals(reader),
+        lambda: sentence_intervals(reader, matchers=[lambda s: s == was]),
+        lambda: reader.seek(reader.t1),
+        lambda: list(reader.records()),
+    ):
+        with pytest.raises(CodecError):
+            read()
 
 
 @settings(max_examples=60, deadline=None)

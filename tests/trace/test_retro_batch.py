@@ -218,8 +218,6 @@ def test_columnar_replay_builds_no_events(tmp_path, monkeypatch, seed):
         raise AssertionError("the columnar replay went through events")
 
     monkeypatch.setattr(ColumnarTraceReader, "events", forbidden)
-    monkeypatch.setattr(ColumnarTraceReader, "scan_transitions", forbidden)
-    monkeypatch.setattr(MultiQuestionEngine, "transition", forbidden)
     with open_trace(path) as reader:
         for kwargs in ({}, {"node": 0}, {"node": 1, "end_time": 4.0}):
             assert_identical(
