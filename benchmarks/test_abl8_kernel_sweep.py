@@ -9,10 +9,10 @@ Two claims, one artifact:
   think), sharded wide the way the ROADMAP's scale story runs it.  Both
   kernels execute the *same generator code*; only the scheduler differs
   (the seed scheduler is preserved in ``tests/machine/sim_legacy.py``).
-* **sweep**: `SweepRunner` fans study grids across a process pool through
-  the pickle-free dispatch path (once-per-worker grid hydration, index
-  chunks, shared-memory result arenas) with results byte-identical to the
-  serial run (per-configuration final times, metric counters, and SAS
+* **sweep**: `SweepRunner` fans study grids across a process pool
+  (once-per-worker grid hydration, index chunks, plain-data results
+  returned as the pool's pickled replies) with results byte-identical to
+  the serial run (per-configuration final times, metric counters, and SAS
   transition logs all equal), and near-linear speedup when real cores are
   available.
 
@@ -188,7 +188,7 @@ def test_abl8_kernel_sweep(benchmark, save_artifact, baseline_guard, artifact_di
             f"({cpus} cpus) is not near-linear"
         )
     # regression gate: multi-core runners (CI bench-smoke exports the floor)
-    # fail the build if the pickle-free dispatch path decays
+    # fail the build if the chunked dispatch path decays
     if SPEEDUP_FLOOR > 0:
         assert sweep_speedup >= SPEEDUP_FLOOR, (
             f"parallel_speedup {sweep_speedup:.2f} fell below the "
@@ -242,11 +242,12 @@ def test_abl8_kernel_sweep(benchmark, save_artifact, baseline_guard, artifact_di
         f"sweep_speedup: {sweep_speedup:.2f}\n"
         f"cpus: {cpus}\n"
         "\nshape: tuple kernel >= 2x seed kernel events/sec; parallel sweep\n"
-        "(pickle-free dispatch: per-worker grid hydration, index chunks,\n"
-        "shared-memory result arenas) byte-identical to serial (final times,\n"
-        "metrics, SAS transition logs); near-linear sweep speedup asserted\n"
-        "when >= 4 cpus, and REPRO_REQUIRE_SWEEP_SPEEDUP=<floor> turns the\n"
-        "measurement into a hard regression gate on multi-core runners.\n"
+        "(chunked dispatch: per-worker grid hydration, index chunks,\n"
+        "plain-data results as pickled replies) byte-identical to serial\n"
+        "(final times, metrics, SAS transition logs); near-linear sweep\n"
+        "speedup asserted when >= 4 cpus, and REPRO_REQUIRE_SWEEP_SPEEDUP=\n"
+        "<floor> turns the measurement into a hard regression gate on\n"
+        "multi-core runners.\n"
         "Machine-readable trajectory: benchmarks/out/BENCH_kernel.json."
     )
     save_artifact("abl8_kernel_sweep", text)

@@ -225,7 +225,6 @@ def lint_paths(
     # ---- traces, sanitized against every static document
     static_docs = [doc for _path, doc in docs]
     if by_kind["trace"]:
-        from ..trace.codec import CodecError
         from ..trace.columnar import open_trace
         from .sanitize import sanitize_trace
     for path in by_kind["trace"]:
@@ -236,7 +235,7 @@ def lint_paths(
             continue
         try:
             out.extend(sanitize_trace(reader, static_docs, path, jobs=jobs))
-        except CodecError as exc:  # a segment that fails to decode
+        except ValueError as exc:  # a CodecError, or transitions that do not nest
             out.append(diag("NV000", f"cannot read trace: {exc}", path))
 
     return result

@@ -499,7 +499,7 @@ def _cmd_sweep(args) -> int:
         start_method=args.start_method,
     )
     t0 = _time.perf_counter()
-    results = runner.run(tasks, parallel=not args.serial)
+    results = runner.run(tasks)
     dt = _time.perf_counter() - t0
     mode = "serial" if args.serial or runner.workers == 1 else f"{runner.workers} workers"
     print(f"{len(results)} configurations in {dt:.3f}s ({mode})")

@@ -4,11 +4,10 @@ The reproduction's methodology (after the paper's own) is repeated
 instrumented runs over configuration grids.  This package fans those runs
 across a process pool while guaranteeing the merged output is
 byte-identical to a serial run: per-task seeds, ordered merges, and crash
-surfacing -- see :mod:`repro.sweep.runner`.  Dispatch is pickle-free:
-workers hydrate the grid once (fork copy-on-write or one blob per worker),
-receive index chunks (:mod:`repro.sweep.chunking`), and return packed
-plain-data results through a shared-memory arena
-(:mod:`repro.sweep.transport`).  Study adapters for the dbsim / unixsim /
+surfacing -- see :mod:`repro.sweep.runner`.  Workers hydrate the grid once
+(fork copy-on-write or one blob per worker), receive index chunks
+(:mod:`repro.sweep.chunking`), and return checked plain-data results as
+the pool's pickled replies.  Study adapters for the dbsim / unixsim /
 kernel grids live in :mod:`repro.sweep.studies`; the ``python -m repro
 sweep`` subcommand and the abl8 bench drive them.
 """

@@ -1,4 +1,4 @@
-"""Task chunking for the pickle-free sweep dispatcher.
+"""Task chunking for the sweep dispatcher.
 
 The dispatcher never ships :class:`~repro.sweep.runner.SweepTask` objects
 to workers per-call -- workers hydrate the whole grid once (fork

@@ -18,8 +18,7 @@ Under those rules the parallel run's output is byte-identical to the serial
 run's -- :func:`fingerprint` hashes a result list so callers (the abl8
 bench, the ``sweep --verify`` CLI) can assert it.
 
-Dispatch is **pickle-free on the hot path** (this is what turned the
-seed's 0.79x "speedup" into a real one):
+Dispatch costs one pool round-trip per chunk of tasks:
 
 * the grid is hydrated **once per worker**, not once per task -- under
   ``fork`` the workers inherit the parent's task list by copy-on-write and
@@ -28,12 +27,9 @@ seed's 0.79x "speedup" into a real one):
 * tasks dispatch as **index chunks** (:mod:`repro.sweep.chunking`): one
   IPC round-trip carries ``chunk_size`` tasks, and the payload is a tuple
   of ints;
-* results return through the **transport arena**
-  (:mod:`repro.sweep.transport`): workers pack plain-data summaries into a
-  compact binary codec and publish the bytes via named
-  ``multiprocessing.shared_memory`` segments, so no live
-  ``MetricInstance``/SAS object -- and for large results not even the
-  bytes -- ever crosses the pool pipe;
+* a chunk's results return as the pool's ordinary pickled reply, after a
+  check that each is plain data, so no live ``MetricInstance``/SAS object
+  ever crosses the pool pipe;
 * per-task ``.rtrcx`` trace capture stays on the worker's disk: the summary
   ships the file path plus its sha256, never the trace bytes.
 
@@ -51,13 +47,11 @@ import os
 import pickle
 import random
 import traceback
-import uuid
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from . import transport
 from .chunking import chunk_indices, resolve_chunk_size
 
 __all__ = [
@@ -178,30 +172,64 @@ def _execute_chunk(tasks: Sequence[SweepTask]) -> list[SweepResult]:
     return [_execute(task) for task in tasks]
 
 
-def _run_chunk(indices: tuple[int, ...], name: str, arena_mode: str) -> tuple:
+#: the result vocabulary's leaves; ``list``, ``tuple`` and ``dict`` nest them
+_SCALARS = frozenset({type(None), bool, int, float, str, bytes})
+
+
+def _check_plain(value: Any) -> None:
+    """Raise ``TypeError`` unless ``value`` is plain data.
+
+    Only exact ``None``/``bool``/``int``/``float``/``str``/``bytes`` and
+    ``list``/``tuple``/``dict`` trees of them pass: a set, a subclass or a
+    live object in a summary fails loudly here rather than pickling.  A
+    container whose elements are all leaves is cleared by one
+    ``set(map(type, ...))`` instead of a per-element walk, which keeps a
+    200k-float scan result cheap.
+    """
+    kind = type(value)
+    if kind in _SCALARS:
+        return
+    if kind is list or kind is tuple:
+        if not set(map(type, value)) <= _SCALARS:
+            for item in value:
+                _check_plain(item)
+    elif kind is dict:
+        if not set(map(type, value)) | set(map(type, value.values())) <= _SCALARS:
+            for k, v in value.items():
+                _check_plain(k)
+                _check_plain(v)
+    else:
+        raise TypeError(
+            f"sweep results must be plain data, got {kind.__name__}: {value!r} "
+            "(return dicts/lists/numbers/strings from task functions)"
+        )
+
+
+def _run_chunk(indices: tuple[int, ...]) -> tuple:
     """Worker entry point: execute one index chunk against the hydrated grid.
 
     Never raises: a failing task returns ``("error", key, message, tb)``
     so the parent re-raises :class:`SweepWorkerError` with the *task's*
-    identity, not the chunk's.  On success the packed results go through
-    the transport arena and only the handle returns.  Nothing is published
-    until the whole chunk has run, so a task failure never strands a
-    partial segment.
+    identity, not the chunk's.  On success it returns ``("ok", entries)``,
+    one ``(index, key, seed, value)`` entry per task, which the pool
+    pickles back to the parent.
     """
     tasks = _WORKER_TASKS
     if tasks is None:  # pragma: no cover - initializer contract violation
         return ("error", "<init>", "worker grid was never hydrated", "")
-    blobs = []
+    entries = []
     for idx in indices:
         task = tasks[idx]
         try:
             result = _execute(task)
-            # packing inside the per-task guard attributes a non-plain-data
-            # summary (transport raises TypeError) to the task that made it
-            blobs.append(transport.pack((idx, result.key, result.seed, result.value)))
+            entry = (idx, result.key, result.seed, result.value)
+            # checking inside the per-task guard attributes a non-plain-data
+            # summary to the task that made it
+            _check_plain(entry)
         except Exception as exc:  # noqa: BLE001 - re-raised as SweepWorkerError
             return ("error", task.key, repr(exc), traceback.format_exc())
-    return ("ok", transport.publish(b"".join(blobs), name, mode=arena_mode))
+        entries.append(entry)
+    return ("ok", entries)
 
 
 def fingerprint(results: Iterable[SweepResult]) -> str:
@@ -217,7 +245,7 @@ def fingerprint(results: Iterable[SweepResult]) -> str:
 
 
 class SweepRunner:
-    """Fans independent tasks across a process pool, pickle-free.
+    """Fans independent tasks across a process pool.
 
     ``workers=1`` (or a single task) short-circuits to the in-process
     serial path, which is also what :meth:`run_serial` exposes directly;
@@ -227,9 +255,7 @@ class SweepRunner:
     ``chunk_size=None`` picks the auto policy in
     :func:`repro.sweep.chunking.resolve_chunk_size`; ``start_method``
     defaults to ``fork`` where available (copy-on-write grid hydration)
-    and ``spawn`` elsewhere.  ``arena`` selects the result transport:
-    ``"auto"`` (shared memory above a size threshold), ``"shm"``, or
-    ``"inline"`` -- the merged output is byte-identical either way.
+    and ``spawn`` elsewhere.
     """
 
     def __init__(
@@ -237,14 +263,10 @@ class SweepRunner:
         workers: int | None = None,
         start_method: str | None = None,
         chunk_size: int | None = None,
-        arena: str = "auto",
-        mp_context: str | None = None,
     ):
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if start_method is None:
-            start_method = mp_context  # pre-chunking name for the same knob
         if start_method is None:
             start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         if start_method not in multiprocessing.get_all_start_methods():
@@ -256,14 +278,6 @@ class SweepRunner:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
-        if arena not in ("auto", "shm", "inline"):
-            raise ValueError(f"arena must be auto|shm|inline, got {arena!r}")
-        self.arena = arena
-
-    # kept for callers written against the pre-chunking runner
-    @property
-    def mp_context(self) -> str:
-        return self.start_method
 
     # ------------------------------------------------------------------
     def run_serial(self, tasks: Sequence[SweepTask]) -> list[SweepResult]:
@@ -272,12 +286,12 @@ class SweepRunner:
         self._check_keys(tasks)
         return _execute_chunk(tasks)
 
-    def run(self, tasks: Sequence[SweepTask], parallel: bool = True) -> list[SweepResult]:
+    def run(self, tasks: Sequence[SweepTask]) -> list[SweepResult]:
         """Run the grid; results come back in task order regardless of
         which worker finished first."""
         tasks = list(tasks)
         self._check_keys(tasks)
-        if not parallel or self.workers == 1 or len(tasks) <= 1:
+        if self.workers == 1 or len(tasks) <= 1:
             return _execute_chunk(tasks)
         return self._run_pool(tasks)
 
@@ -286,8 +300,6 @@ class SweepRunner:
         global _PARENT_TASKS
         chunk_size = resolve_chunk_size(len(tasks), self.workers, self.chunk_size)
         chunks = chunk_indices(len(tasks), chunk_size)
-        token = uuid.uuid4().hex[:12]
-        names = [transport.arena_name(token, i) for i in range(len(chunks))]
         ctx = multiprocessing.get_context(self.start_method)
         if self.start_method == "fork":
             init_blob = None  # children inherit _PARENT_TASKS copy-on-write
@@ -302,10 +314,7 @@ class SweepRunner:
                 initializer=_init_worker,
                 initargs=(init_blob,),
             ) as pool:
-                futures = [
-                    pool.submit(_run_chunk, chunk, names[i], self.arena)
-                    for i, chunk in enumerate(chunks)
-                ]
+                futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
                 try:
                     # futures are consumed in chunk order (not completion
                     # order): the merge is ordered by construction
@@ -314,9 +323,7 @@ class SweepRunner:
                         if reply[0] == "error":
                             _, key, message, remote_tb = reply
                             raise SweepWorkerError(key, message, remote_tb)
-                        for idx, key, seed, value in transport.unpack_stream(
-                            transport.claim(reply[1])
-                        ):
+                        for idx, key, seed, value in reply[1]:
                             out[idx] = SweepResult(key, value, seed)
                 except BrokenProcessPool as exc:
                     raise SweepWorkerError(
@@ -329,11 +336,6 @@ class SweepRunner:
                         future.cancel()
         finally:
             _PARENT_TASKS = None
-            # deterministic names let the parent sweep every possible
-            # segment -- including ones published by workers whose replies
-            # were never consumed -- so /dev/shm ends clean on any path
-            for name in names:
-                transport.release(name)
         return out  # type: ignore[return-value] - every slot filled above
 
     # ------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 Each ``*_task`` function runs one configuration of a study and returns a
 plain-data summary (dicts / lists / numbers / strings only), so results
-travel the worker pool's compact transport (:mod:`repro.sweep.transport`
-packs exactly this vocabulary -- a live object here is a loud
+pass the worker pool's plain-data check (a live object here is a loud
 ``TypeError``), ``repr`` deterministically for
 :func:`repro.sweep.runner.fingerprint`, and dump straight to JSON.
 

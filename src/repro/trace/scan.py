@@ -32,10 +32,9 @@ encoded once into an in-memory ``.rtrcx`` and read back
   depth from its first segment's embedded SAS snapshot, emits only
   intervals that *close* inside its range (each interval closes in
   exactly one segment, so the merge is concatenation), and the final
-  range closes still-open intervals at the end time.  Results travel as
-  plain ``{sid: flat float list}`` data through the pickle-free transport.
-  A trace held in memory has no file for a worker to reopen, so it is
-  scanned serially.
+  range closes still-open intervals at the end time.  Results return as
+  plain ``{sid: flat float list}`` data.  A trace held in memory has no
+  file for a worker to reopen, so it is scanned serially.
 """
 
 from __future__ import annotations
@@ -195,7 +194,7 @@ def _flatten_segments(
     it, so a merge of ranges in order that keeps first-seen keys keeps the
     serial order.  Only intervals that *close* in the range are emitted --
     plus, when ``close_at`` is given (the final range), the still-open ones
-    at that time.  Returns plain data for the pickle-free sweep transport:
+    at that time.  Returns plain data, as a sweep task must:
     ``{sid: [s0, e0, s1, e1, ...]}``.
     """
     out: dict[int, list[float]] = {}
@@ -401,7 +400,9 @@ def parallel_intervals(
     and the merge concatenates per-range results in range order, keeping
     each sentence where it was first seen: each interval closes in exactly
     one segment, and each sentence is filed at its first activation, so
-    the output equals the serial one, key order included.
+    the output equals the serial one, key order included.  When a range
+    fails (a corrupt or inconsistent segment), the trace is rescanned
+    serially, so the caller sees the serial scan's own error.
     """
     reader = _columnar(reader)
     if reader.in_memory:
@@ -422,7 +423,7 @@ def parallel_intervals(
         for k in range(nranges)
         if bounds[k] < bounds[k + 1]
     ]
-    from ..sweep.runner import SweepTask
+    from ..sweep.runner import SweepTask, SweepWorkerError
 
     sid_arg = tuple(sorted(sids)) if sids is not None else None
     tasks = [
@@ -433,8 +434,14 @@ def parallel_intervals(
         )
         for k, rng in enumerate(ranges)
     ]
+    try:
+        results = runner.run(tasks)
+    except SweepWorkerError as exc:
+        if exc.key == "<pool>":  # a dead worker, not a bad range
+            raise
+        return filtered_intervals(reader, matchers, end_time)
     merged: dict[int, list[float]] = {}
-    for result in runner.run(tasks):
+    for result in results:
         for sid, flat in result.value.items():
             merged.setdefault(sid, []).extend(flat)
     return _sentence_keyed(reader, merged)

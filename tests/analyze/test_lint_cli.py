@@ -3,9 +3,12 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
-from repro.trace import ColumnarTraceReader
-from repro.trace.columnar import COL_SID
+from repro.trace import ColumnarTraceReader, ColumnarTraceWriter
+from repro.trace.columnar import COL_KIND, COL_SID
+from repro.workloads.fuzz import random_trace
 
 CORPUS = Path(__file__).parent / "corpus"
 REPO = Path(__file__).resolve().parents[2]
@@ -69,15 +72,20 @@ def test_a_trace_is_recognised_by_its_magic_whatever_its_name(capsys, tmp_path):
         assert (rc, codes) == (1, ["NV013"])
 
 
+def _set_first_byte(src: Path, column: int, segment: int, value: int, dest: Path) -> None:
+    """Copy ``src`` to ``dest`` with one column's first byte in a segment set."""
+    with ColumnarTraceReader(src) as reader:
+        pos, _nbytes = reader._columns(segment)[column]
+    blob = bytearray(src.read_bytes())
+    blob[pos] = value
+    dest.write_bytes(bytes(blob))
+
+
 def test_a_trace_that_fails_to_decode_is_nv000_and_lint_goes_on(capsys, tmp_path):
     # the file opens, but its first SID byte names sentence 200 of 7, so
     # sanitizing it fails; the clean trace beside it is still linted
-    with ColumnarTraceReader(CORPUS / "leak.rtrcx") as reader:
-        pos, _nbytes = reader._columns(0)[COL_SID]
-    blob = bytearray((CORPUS / "leak.rtrcx").read_bytes())
-    blob[pos] = 200
     corrupt = tmp_path / "corrupt.rtrcx"
-    corrupt.write_bytes(bytes(blob))
+    _set_first_byte(CORPUS / "leak.rtrcx", COL_SID, 0, 200, corrupt)
     rc = main(["lint", "--format", "json", str(corrupt), str(CORPUS / "leak.rtrcx")])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 1
@@ -85,6 +93,45 @@ def test_a_trace_that_fails_to_decode_is_nv000_and_lint_goes_on(capsys, tmp_path
     assert sorted(found) == [("corrupt.rtrcx", "NV000"), ("leak.rtrcx", "NV013")]
     (nv000,) = [d for d in payload["diagnostics"] if d["code"] == "NV000"]
     assert nv000["message"].startswith("cannot read trace: ")
+
+
+def test_a_trace_whose_transitions_do_not_nest_is_nv000_and_lint_goes_on(capsys, tmp_path):
+    # the file decodes, but its first activation now reads as a
+    # deactivation, so its intervals cannot be paired
+    inconsistent = tmp_path / "inconsistent.rtrcx"
+    _set_first_byte(CORPUS / "leak.rtrcx", COL_KIND, 0, 0, inconsistent)
+    rc = main(["lint", "--format", "json", str(inconsistent), str(CORPUS / "leak.rtrcx")])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    found = [(Path(d["path"]).name, d["code"]) for d in payload["diagnostics"]]
+    assert sorted(found) == [("inconsistent.rtrcx", "NV000"), ("leak.rtrcx", "NV013")]
+    (nv000,) = [d for d in payload["diagnostics"] if d["code"] == "NV000"]
+    assert nv000["message"] == (
+        "cannot read trace: deactivate without activate for {f0() Executes}"
+    )
+
+
+@pytest.mark.parametrize(
+    "column, segment, value",
+    [(COL_SID, 5, 200), (COL_KIND, 0, 0)],
+    ids=["sentence-id-out-of-range", "transitions-do-not-nest"],
+)
+def test_jobs_2_reports_a_bad_trace_as_jobs_1_does(capsys, tmp_path, column, segment, value):
+    # 13 segments of 32 records, so --jobs 2 scans both files in the pool
+    trace = random_trace(3, events=400, nodes=2, sentences=14)
+    good, bad = tmp_path / "good.rtrcx", tmp_path / "bad.rtrcx"
+    with ColumnarTraceWriter(good, segment_records=32) as w:
+        w.record_trace(trace)
+    _set_first_byte(good, column, segment, value, bad)
+    runs = []
+    for jobs in ("1", "2"):
+        rc = main(["lint", "--format", "json", "--jobs", jobs, str(bad), str(good)])
+        runs.append((rc, capsys.readouterr().out))
+    assert runs[1] == runs[0]
+    rc, out = runs[0]
+    assert rc == 1
+    bad_codes = [d["code"] for d in json.loads(out)["diagnostics"] if d["path"] == str(bad)]
+    assert bad_codes == ["NV000"]
 
 
 def test_mdl_library_gate_is_clean(capsys):

@@ -9,13 +9,10 @@ Three failure families, each with a distinct contract:
   fails the sweep loudly instead of hanging the merge loop -- every test
   here runs under a SIGALRM watchdog so a regression to the historical
   ``Pool.imap`` hang shows up as a test failure, not a stuck CI job;
-* on *any* failure path the shared-memory arenas are released: the
-  deterministic segment naming lets the parent sweep ``/dev/shm`` clean
-  even for segments published by workers whose replies were never
-  consumed.
+* a task that returns something other than plain data fails as its own
+  task, with the check's ``TypeError`` in the remote traceback.
 """
 
-import glob
 import os
 import signal
 from contextlib import contextmanager
@@ -46,19 +43,6 @@ def watchdog(seconds: int = WATCHDOG_SECONDS):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _shm_segments() -> set:
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return set()
-    return set(glob.glob("/dev/shm/rtswp_*"))
-
-
-@pytest.fixture()
-def no_leaked_arenas():
-    before = _shm_segments()
-    yield
-    assert _shm_segments() - before == set(), "sweep leaked /dev/shm segments"
-
-
 # module-level task functions: picklable across the worker pool
 def _fine(x):
     return {"x": x}
@@ -73,16 +57,16 @@ def _die_hard():
 
 
 def _leak_object():
-    return {"handle": object()}  # not plain data: transport must refuse it
+    return {"handle": object()}  # not plain data: the runner must refuse it
 
 
 class TestTaskExceptions:
-    def test_mid_chunk_raise_carries_key_and_remote_traceback(self, no_leaked_arenas):
+    def test_mid_chunk_raise_carries_key_and_remote_traceback(self):
         # chunk size 3 places 'bad' mid-chunk behind a succeeding neighbor
         tasks = [SweepTask(f"ok{i}", _fine, args=(i,)) for i in range(5)]
         tasks.insert(1, SweepTask("bad", _boom, args=(42,)))
         with watchdog(), pytest.raises(SweepWorkerError) as excinfo:
-            SweepRunner(workers=2, chunk_size=3, arena="shm").run(tasks)
+            SweepRunner(workers=2, chunk_size=3).run(tasks)
         err = excinfo.value
         assert err.key == "bad"
         assert "boom on 42" in str(err)
@@ -93,7 +77,7 @@ class TestTaskExceptions:
         with pytest.raises(ValueError, match="boom on 7"):
             SweepRunner(workers=1).run([SweepTask("bad", _boom, args=(7,))])
 
-    def test_non_plain_result_is_attributed_to_its_task(self, no_leaked_arenas):
+    def test_non_plain_result_is_attributed_to_its_task(self):
         tasks = [
             SweepTask("ok", _fine, args=(1,)),
             SweepTask("leaky", _leak_object),
@@ -105,21 +89,12 @@ class TestTaskExceptions:
 
 
 class TestKilledWorkers:
-    def test_killed_worker_fails_loudly_instead_of_hanging(self, no_leaked_arenas):
+    def test_killed_worker_fails_loudly_instead_of_hanging(self):
         tasks = [SweepTask(f"ok{i}", _fine, args=(i,)) for i in range(4)]
         tasks.insert(2, SweepTask("killer", _die_hard))
         with watchdog(), pytest.raises(SweepWorkerError) as excinfo:
             SweepRunner(workers=2, chunk_size=1).run(tasks)
         assert "died abruptly" in str(excinfo.value)
-
-    def test_killed_worker_releases_partial_arenas(self, no_leaked_arenas):
-        # force the shm path with enough surviving chunks that some arenas
-        # are published and never claimed before the pool breaks
-        tasks = [SweepTask(f"ok{i}", _fine, args=(i,)) for i in range(8)]
-        tasks.append(SweepTask("killer", _die_hard))
-        with watchdog(), pytest.raises(SweepWorkerError):
-            SweepRunner(workers=2, chunk_size=2, arena="shm").run(tasks)
-        # the no_leaked_arenas fixture asserts /dev/shm ends clean
 
 
 class TestRecovery:

@@ -8,7 +8,9 @@ files.
 
 The db questions filter to node 5, the server of a 5-client study, and
 run over the default segmentation and over 64-record segments, so a
-question's replay crosses segment boundaries.
+question's replay crosses segment boundaries.  The fig7 study fits in one
+segment, so it is recorded a second time in 4-record segments (5 of
+them), where ``--jobs 2`` scans in the worker pool.
 """
 
 from pathlib import Path
@@ -17,7 +19,9 @@ import pytest
 
 from repro.cli import main
 from repro.dbsim import Query, run_db_study
-from repro.trace import ColumnarTraceWriter
+from repro.sweep import SweepRunner
+from repro.trace import ColumnarTraceReader, ColumnarTraceWriter
+from repro.unixsim import FunctionSpec, run_figure7_study
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,7 +63,30 @@ def recordings(tmp_path_factory):
     queries = [Query(f"Q{i}", disk_reads=(i % 4) + 1) for i in range(60)]
     with ColumnarTraceWriter(db64, segment_records=64) as w:
         run_db_study(queries, num_clients=5, recorder=w)
-    return {"fig7": fig7, "db": db, "db64": db64}
+    # what `trace record unix --no-causal` runs, in 4-record segments
+    fig7s4 = root / "fig7s4.rtrcx"
+    script = [FunctionSpec(f"f{i}", writes=n, compute_time=4e-4) for i, n in enumerate((2, 1, 0))]
+    script.append(FunctionSpec("idle_tail", writes=0, compute_time=2e-2))
+    meta = {"study": "unix", "writes": [2, 1, 0], "causal": False}
+    with ColumnarTraceWriter(fig7s4, segment_records=4, metadata=meta) as w:
+        run_figure7_study(script, causal=False, recorder=w)
+    with ColumnarTraceReader(fig7s4) as reader:
+        assert reader.info()["segments"] == 5
+    return {"fig7": fig7, "db": db, "db64": db64, "fig7s4": fig7s4}
+
+
+@pytest.fixture()
+def pool_tasks(monkeypatch) -> list[int]:
+    """The task count of every sweep that reaches the worker pool."""
+    counts: list[int] = []
+    run_pool = SweepRunner._run_pool
+
+    def counting(self, tasks):
+        counts.append(len(tasks))
+        return run_pool(self, tasks)
+
+    monkeypatch.setattr(SweepRunner, "_run_pool", counting)
+    return counts
 
 
 @pytest.mark.parametrize("name", sorted(FIG7_QUERIES))
@@ -79,3 +106,16 @@ def test_fig7_lint_matches_golden(recordings, capsys):
     path = str(recordings["fig7"])
     out = _run(capsys, ["lint", "--format", "json", path])
     assert out.replace(path, "TRACE") == (GOLDEN / "fig7_lint.json").read_text()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", [*sorted(FIG7_QUERIES), "fig7_lint.json"])
+def test_fig7_in_5_segments_matches_golden(recordings, capsys, pool_tasks, name, jobs):
+    path = str(recordings["fig7s4"])
+    if name == "fig7_lint.json":
+        argv = ["lint", "--format", "json", "--jobs", jobs, path]
+    else:
+        argv = ["trace", "query", path, *FIG7_QUERIES[name], "--json", "--jobs", jobs]
+    out = _run(capsys, argv)
+    assert out.replace(path, "TRACE") == (GOLDEN / name).read_text()
+    assert pool_tasks == ([4] if jobs == "2" else [])
