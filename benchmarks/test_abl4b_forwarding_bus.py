@@ -10,10 +10,15 @@ Two claims about the Section 4.2.3 transport, on the same dbsim workload:
   the bus still applies every transition exactly once (measurements keep
   their meaning), while the naive forwarder silently loses or re-applies
   transitions and the distributed question's numbers degrade.
+
+The naive forwarder is the test-side baseline in
+``tests/dbsim/naive_forwarding.py``; the study runs on it through
+``run_db_study(bus_type=NaiveBus)``.
 """
 
 from repro.dbsim import FaultPlan, Query, run_db_study
 from repro.paradyn import text_table
+from tests.dbsim.naive_forwarding import NaiveBus
 
 WORKLOAD = [Query(f"Q{i}", disk_reads=2 + i % 3) for i in range(8)]
 
@@ -22,13 +27,13 @@ FAULTS = dict(drop=0.05, duplicate=0.05, reorder=True)
 
 def run_experiment():
     results = {}
-    results["bus"] = run_db_study(WORKLOAD, think_time=0.0, transport="bus")
-    results["naive"] = run_db_study(WORKLOAD, think_time=0.0, transport="naive")
+    results["bus"] = run_db_study(WORKLOAD, think_time=0.0)
+    results["naive"] = run_db_study(WORKLOAD, think_time=0.0, bus_type=NaiveBus)
     results["bus+faults"] = run_db_study(
-        WORKLOAD, think_time=0.0, transport="bus", fault_plan=FaultPlan(**FAULTS, seed=5)
+        WORKLOAD, think_time=0.0, fault_plan=FaultPlan(**FAULTS, seed=5)
     )
     results["naive+faults"] = run_db_study(
-        WORKLOAD, think_time=0.0, transport="naive", fault_plan=FaultPlan(**FAULTS, seed=5)
+        WORKLOAD, think_time=0.0, bus_type=NaiveBus, fault_plan=FaultPlan(**FAULTS, seed=5)
     )
     return results
 

@@ -109,7 +109,7 @@ def _sweep_grids():
     """Small mixed grid whose results carry every observable kind: db metric
     counters, unixsim SAS transition logs, kernel final clocks + event logs."""
     return (
-        db_grid(clients=(1, 2), queries=(1, 3), transports=("bus",))
+        db_grid(clients=(1, 2), queries=(1, 3))
         + unix_grid(write_mixes=((2, 1, 0), (1, 0, 4)), causal_options=(True, False))
         + kernel_grid(scales=((64, 16),), seeds=(0,))
     )

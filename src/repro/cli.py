@@ -104,9 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--clients", default="", help="db: comma list of client counts")
     p_sweep.add_argument("--queries", default="", help="db: comma list of query counts")
     p_sweep.add_argument(
-        "--transports", default="", help="db: comma list of transports (bus,naive)"
-    )
-    p_sweep.add_argument(
         "--scales", default="", help="kernel: comma list of clients:shards pairs"
     )
     p_sweep.add_argument("--seeds", default="", help="kernel: comma list of seeds")
@@ -127,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     t_record.add_argument("--out", required=True, metavar="FILE.rtrcx", help="destination trace")
     t_record.add_argument("--clients", type=int, default=2, help="db: client count")
     t_record.add_argument("--queries", type=int, default=3, help="db: query count")
-    t_record.add_argument("--transport", choices=("bus", "naive"), default="bus")
     t_record.add_argument(
         "--writes", default="2,1,0", help="unix: comma list of per-function write counts"
     )
@@ -279,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--clients", type=int, default=2, help="live db: client count")
     p_serve.add_argument("--queries", type=int, default=3, help="live db: query count")
-    p_serve.add_argument("--transport", choices=("bus", "naive"), default="bus")
     p_serve.add_argument("--node", type=int, default=None, help="trace: restrict to one node")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=0, help="0 picks a free port")
@@ -474,10 +469,6 @@ def _cmd_sweep(args) -> int:
             options["clients"] = ints(args.clients)
         if args.queries:
             options["queries"] = ints(args.queries)
-        if args.transports:
-            options["transports"] = tuple(
-                t.strip() for t in args.transports.split(",") if t.strip()
-            )
     elif args.study == "kernel":
         if args.scales:
             options["scales"] = tuple(
@@ -564,12 +555,7 @@ def _trace_record(args) -> int:
         queries = [Query(f"Q{i}", disk_reads=(i % 4) + 1) for i in range(args.queries)]
         meta = {"study": "db", "clients": args.clients, "queries": args.queries}
         with ColumnarTraceWriter(args.out, metadata=meta) as w:
-            outcome = run_db_study(
-                queries,
-                num_clients=args.clients,
-                transport=args.transport,
-                recorder=w,
-            )
+            outcome = run_db_study(queries, num_clients=args.clients, recorder=w)
     else:
         from .unixsim import FunctionSpec, run_figure7_study
 
@@ -886,9 +872,7 @@ def _cmd_serve(args) -> int:
     if args.trace:
         source = TraceSource(args.trace, node=args.node)
     elif args.live:
-        source = DbStudySource(
-            clients=args.clients, queries=args.queries, transport=args.transport
-        )
+        source = DbStudySource(clients=args.clients, queries=args.queries)
     else:
         raise ValueError("serve needs --trace, --live, or --connect")
     return run_server(

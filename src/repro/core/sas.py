@@ -31,8 +31,8 @@ Key behaviours reproduced here:
   pairs as dynamic mappings;
 * per-node replication (Section 4.2.3) is achieved by creating one SAS per
   node; cross-node forwarding lives in :mod:`repro.dbsim.bus` (the
-  fault-tolerant batching bus; :mod:`repro.dbsim.forwarding` keeps the
-  naive fire-and-forget baseline).
+  fault-tolerant batching bus; the naive fire-and-forget baseline is a
+  test-side one under ``tests/dbsim/``).
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ __getattr__, __dir__, __all__ = attach(
     __name__,
     {
         "bus": ("BusConfig", "BusStats", "FaultPlan", "ForwardingBus", "Subscription"),
-        "forwarding": ("SASForwarder",),
         "model": ("DB_LEVEL", "Query", "db_vocabulary", "query_active", "server_disk_read"),
         "study": ("CLIENT_NODE", "SERVER_NODE", "DBOutcome", "run_db_study"),
     },

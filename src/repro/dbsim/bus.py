@@ -3,10 +3,10 @@
 The paper's client/server database example needs one SAS replica per node
 plus a way to ship sentence transitions between them ("the client's SAS
 would need to send one sentence ... to the server's SAS whenever that
-sentence became active or inactive").  The original
-:class:`~repro.dbsim.forwarding.SASForwarder` did this as a fire-and-forget
-point-to-point hook; :class:`ForwardingBus` replaces it with a transport a
-production tool could actually run:
+sentence became active or inactive").  The original ``SASForwarder`` did
+this as a fire-and-forget point-to-point hook (it survives as a test-side
+baseline under ``tests/dbsim/``); :class:`ForwardingBus` replaces it with a
+transport a production tool could actually run:
 
 * **batching** -- transitions captured within a configurable *flush window*
   coalesce into one wire message per link, so a burst of activity costs one
@@ -130,7 +130,8 @@ class BusStats:
 
     ``messages_sent`` counts data messages on the wire (first transmissions
     plus retries); acks are tallied separately so "batching sends fewer
-    messages" comparisons against the ack-free naive forwarder stay honest.
+    messages" comparisons against the ack-free naive forwarder (the
+    test-side baseline in ``tests/dbsim/naive_forwarding.py``) stay honest.
     The latency histogram folds end-to-end forwarding delay (SAS transition
     at the source to application at the destination) on its *time* axis.
     """

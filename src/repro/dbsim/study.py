@@ -11,14 +11,12 @@ Two kinds of questions are measured over a client/server database run:
   disabled the question silently reads zero -- the failure mode of
   pretending a per-node SAS is global.
 
-Forwarding runs over one of two transports:
-
-* ``transport="bus"`` (default): the :class:`~repro.dbsim.bus.ForwardingBus`
-  -- batched, sequenced, retransmitted over the machine's network cost
-  model, optionally under a seeded :class:`~repro.dbsim.bus.FaultPlan`;
-* ``transport="naive"``: the legacy per-transition
-  :class:`~repro.dbsim.forwarding.SASForwarder` shim (fixed latency, no
-  delivery guarantees) kept as the ablation baseline.
+Forwarding runs over the :class:`~repro.dbsim.bus.ForwardingBus` --
+batched, sequenced, retransmitted over the machine's network cost model,
+optionally under a seeded :class:`~repro.dbsim.bus.FaultPlan`.  The naive
+per-transition forwarder it is measured against (fixed latency, no delivery
+guarantees) is a test-side baseline in ``tests/dbsim/naive_forwarding.py``,
+passed in as ``bus_type``.
 """
 
 from __future__ import annotations
@@ -30,8 +28,7 @@ from ..core.questions import PerformanceQuestion, SentencePattern
 from ..core.sas import ActiveSentenceSet
 from ..machine.machine import Machine, MachineConfig
 from ..cmrts.comm import NodeComm
-from .bus import BusConfig, FaultPlan, ForwardingBus
-from .forwarding import SASForwarder
+from .bus import FaultPlan, ForwardingBus
 from .model import Query, query_active, server_disk_read
 
 __all__ = ["DBOutcome", "run_db_study"]
@@ -64,11 +61,10 @@ def run_db_study(
     forwarding: bool = True,
     think_time: float = 2e-4,
     num_clients: int = 1,
-    transport: str = "bus",
-    bus_config: BusConfig | None = None,
     fault_plan: FaultPlan | None = None,
     recorder=None,
     multiq=None,
+    bus_type=ForwardingBus,
 ) -> DBOutcome:
     """Run the client(s)/server scenario and answer both question kinds.
 
@@ -90,6 +86,11 @@ def run_db_study(
     server transitions plus forwarded client transitions exactly as the
     dedicated per-question watchers do -- one shared evaluation for every
     live subscriber instead of one watcher each.
+
+    ``bus_type`` builds the forwarding transport as
+    ``bus_type(machine.network, fault_plan=fault_plan)``; anything with the
+    :class:`~repro.dbsim.bus.ForwardingBus` wiring calls (``register_replica``,
+    ``subscribe``, ``close``, ``stats``, ``metrics``) will do.
     """
     if queries is None:
         queries = [
@@ -99,8 +100,6 @@ def run_db_study(
         ]
     if num_clients < 1:
         raise ValueError("need at least one client")
-    if transport not in ("bus", "naive"):
-        raise ValueError(f"unknown transport {transport!r}")
     server_node = num_clients
     machine = Machine(MachineConfig(num_nodes=num_clients + 1))
     sim = machine.sim
@@ -123,27 +122,13 @@ def run_db_study(
     def interesting(s):
         return s.verb.name == "QueryActive"
 
-    forwarders: list[SASForwarder] = []
-    bus: ForwardingBus | None = None
+    bus = None
     if forwarding:
-        if transport == "bus":
-            bus = ForwardingBus(machine.network, bus_config, fault_plan)
-            bus.register_replica(server_node, server_sas)
-            for c, cs in enumerate(client_sases):
-                bus.register_replica(c, cs)
-                bus.subscribe(c, server_node, interesting)
-        else:
-            forwarders = [
-                SASForwarder(
-                    sim,
-                    cs,
-                    server_sas,
-                    interesting=interesting,
-                    latency=machine.config.network.latency,
-                    fault_plan=fault_plan,
-                )
-                for cs in client_sases
-            ]
+        bus = bus_type(machine.network, fault_plan=fault_plan)
+        bus.register_replica(server_node, server_sas)
+        for c, cs in enumerate(client_sases):
+            bus.register_replica(c, cs)
+            bus.subscribe(c, server_node, interesting)
 
     by_client = {c: [q for i, q in enumerate(queries) if i % num_clients == c]
                  for c in range(num_clients)}
@@ -230,17 +215,13 @@ def run_db_study(
         sim.spawn(client_main(c), f"db-client{c}")
     sim.run()
 
+    forwarded = network_messages = 0
+    bus_stats: dict[str, float] = {}
     if bus is not None:
         forwarded = bus.stats.transitions_forwarded
         network_messages = bus.stats.messages_sent
         bus_stats = bus.metrics()
         bus.close()
-    else:
-        forwarded = sum(f.messages_sent for f in forwarders)
-        network_messages = forwarded if forwarding else 0
-        bus_stats = {}
-        for f in forwarders:
-            f.close()
     stray = sum(
         len(cs.on_transition) - base
         for cs, base in zip(client_sases, baseline_watchers, strict=True)

@@ -335,8 +335,8 @@ class Simulator:
             self._crashed = ProcessCrashed(proc, exc)
             return
 
-        # exact-type dispatch first (no kernel class is subclassed); the
-        # isinstance chain below stays as the general fallback
+        # exact-type dispatch: nothing subclasses the kernel classes, and an
+        # instance of a subclass is refused below; a bare int/float is a delay
         cls = yielded.__class__
         if cls is Timeout:
             # Timeout validated its delay at construction: push directly
@@ -347,14 +347,6 @@ class Simulator:
         elif cls is Signal:
             yielded._add_waiter(proc)
         elif cls is Process:
-            yielded.completion._add_waiter(proc)
-        elif isinstance(yielded, Timeout):
-            self._schedule_step(proc, None, yielded.delay)
-        elif isinstance(yielded, Signal):
-            yielded._add_waiter(proc)
-        elif isinstance(yielded, ChannelGet):
-            yielded.channel._register(proc)
-        elif isinstance(yielded, Process):
             yielded.completion._add_waiter(proc)
         elif isinstance(yielded, (int, float)):
             self._schedule_step(proc, None, float(yielded))

@@ -199,10 +199,9 @@ class DbStudySource:
     session engine attached to the server SAS (fused local + forwarded
     transitions via the forwarding bus)."""
 
-    def __init__(self, clients: int = 2, queries: int = 3, transport: str = "bus"):
+    def __init__(self, clients: int = 2, queries: int = 3):
         self.clients = clients
         self.queries = queries
-        self.transport = transport
 
     def describe(self) -> str:
         return f"db-study(clients={self.clients}, queries={self.queries})"
@@ -222,7 +221,6 @@ class DbStudySource:
         outcome = run_db_study(
             queries=queries,
             num_clients=self.clients,
-            transport=self.transport,
             multiq=engine,
         )
         await flush()

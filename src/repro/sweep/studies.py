@@ -77,7 +77,6 @@ def _capture_summary(writer) -> dict[str, Any]:
 def db_task(
     num_clients: int = 1,
     num_queries: int = 3,
-    transport: str = "bus",
     think_time: float = 2e-4,
     fault_seed: int | None = None,
     record_path: str | None = None,
@@ -87,17 +86,11 @@ def db_task(
     fault_plan = None
     if fault_seed is not None:
         fault_plan = FaultPlan(drop=0.1, duplicate=0.05, delay=0.2, seed=fault_seed)
-    config = {
-        "num_clients": num_clients,
-        "num_queries": num_queries,
-        "transport": transport,
-        "fault_seed": fault_seed,
-    }
+    config = {"num_clients": num_clients, "num_queries": num_queries, "fault_seed": fault_seed}
     writer = _open_recorder(record_path, {"study": "db", "config": config})
     outcome = run_db_study(
         queries,
         num_clients=num_clients,
-        transport=transport,
         think_time=think_time,
         fault_plan=fault_plan,
         recorder=writer,
@@ -126,29 +119,22 @@ def _capture_path(capture_dir: str | None, key: str) -> str | None:
 def db_grid(
     clients: Sequence[int] = (1, 2, 4),
     queries: Sequence[int] = (1, 3, 6),
-    transports: Sequence[str] = ("bus",),
     fault_seeds: Sequence[int | None] = (None,),
     capture_dir: str | None = None,
 ) -> list[SweepTask]:
     tasks = []
     for c in clients:
         for q in queries:
-            for t in transports:
-                for s in fault_seeds:
-                    key = f"db/c{c}q{q}-{t}" + (f"-f{s}" if s is not None else "")
-                    tasks.append(
-                        SweepTask(
-                            key=key,
-                            fn=db_task,
-                            kwargs={
-                                "num_clients": c,
-                                "num_queries": q,
-                                "transport": t,
-                                "fault_seed": s,
-                            },
-                            capture_path=_capture_path(capture_dir, key),
-                        )
+            for s in fault_seeds:
+                key = f"db/c{c}q{q}" + (f"-f{s}" if s is not None else "")
+                tasks.append(
+                    SweepTask(
+                        key=key,
+                        fn=db_task,
+                        kwargs={"num_clients": c, "num_queries": q, "fault_seed": s},
+                        capture_path=_capture_path(capture_dir, key),
                     )
+                )
     return tasks
 
 

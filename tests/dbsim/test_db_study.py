@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import ActiveSentenceSet, Noun, Sentence, Verb
-from repro.dbsim import Query, SASForwarder, db_vocabulary, run_db_study
+from repro.dbsim import FaultPlan, ForwardingBus, Query, db_vocabulary, run_db_study
 from repro.machine import Simulator
+
+from .naive_forwarding import NaiveBus, SASForwarder
 
 
 def test_query_validation():
@@ -120,43 +122,38 @@ def test_notification_counts():
 
 
 class TestTransports:
-    """The study runs on either transport; results agree, wiring is clean."""
+    """The study runs on the bus or on the test-side naive forwarder; results
+    agree, wiring is clean."""
 
     def test_bus_and_naive_agree_on_measurements(self):
-        bus = run_db_study(transport="bus")
-        naive = run_db_study(transport="naive")
+        bus = run_db_study()
+        naive = run_db_study(bus_type=NaiveBus)
         assert bus.measured == naive.measured == bus.ground_truth
         assert bus.forwarded_messages == naive.forwarded_messages
         assert bus.per_client_measured == naive.per_client_measured
 
     def test_bus_stats_exported(self):
-        out = run_db_study(transport="bus")
+        out = run_db_study()
         assert out.bus_stats["fwd_transitions_applied"] == out.forwarded_messages
         assert out.network_messages == out.bus_stats["fwd_messages_sent"]
         assert out.bus_stats["fwd_latency_mean"] > 0
 
     def test_naive_has_no_bus_stats(self):
-        out = run_db_study(transport="naive")
+        out = run_db_study(bus_type=NaiveBus)
         assert out.bus_stats == {}
         assert out.network_messages == out.forwarded_messages
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError):
-            run_db_study(transport="carrier-pigeon")
-
-    @pytest.mark.parametrize("transport", ["bus", "naive"])
-    def test_no_stray_watchers_after_repeated_runs(self, transport):
+    @pytest.mark.parametrize("bus_type", [ForwardingBus, NaiveBus], ids=["bus", "naive"])
+    def test_no_stray_watchers_after_repeated_runs(self, bus_type):
         """Regression: forwarders used to append to source.on_transition
         with no way to detach, leaking watchers across repeated studies."""
-        first = run_db_study(transport=transport)
-        second = run_db_study(transport=transport)
+        first = run_db_study(bus_type=bus_type)
+        second = run_db_study(bus_type=bus_type)
         assert first.stray_watchers == 0
         assert second.stray_watchers == 0
-        assert second.measured == second.ground_truth or transport == "naive"
+        assert second.measured == second.ground_truth
 
     def test_bus_survives_seeded_faults(self):
-        from repro.dbsim import FaultPlan
-
         out = run_db_study(
             fault_plan=FaultPlan(drop=0.05, duplicate=0.05, reorder=True, seed=11)
         )
@@ -166,6 +163,23 @@ class TestTransports:
         assert out.bus_stats["fwd_transitions_applied"] == 2 * len(out.ground_truth)
         assert out.server_sas_notifications == clean.server_sas_notifications
         assert out.total_reads_local_question == clean.total_reads_local_question
+
+    def test_faults_corrupt_only_the_naive_replica(self):
+        """abl4b's robustness claim on its own workload and fault plan: the
+        bus's server SAS sees its clean run's transitions, the naive
+        forwarder's loses or re-applies some."""
+        queries = [Query(f"Q{i}", disk_reads=2 + i % 3) for i in range(8)]
+
+        def notifications(bus_type, faults):
+            plan = FaultPlan(drop=0.05, duplicate=0.05, reorder=True, seed=5) if faults else None
+            out = run_db_study(queries, think_time=0.0, bus_type=bus_type, fault_plan=plan)
+            return out.server_sas_notifications
+
+        bus_clean = notifications(ForwardingBus, faults=False)
+        naive_clean = notifications(NaiveBus, faults=False)
+        assert bus_clean == naive_clean
+        assert notifications(ForwardingBus, faults=True) == bus_clean
+        assert notifications(NaiveBus, faults=True) != naive_clean
 
 
 class TestMultipleClients:

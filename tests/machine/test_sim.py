@@ -234,6 +234,23 @@ def test_bad_yield_type_crashes():
         sim.run()
 
 
+def test_subclassed_kernel_yield_is_refused():
+    """The kernel dispatches on exact types, so a subclass of a kernel
+    class is an unsupported yield, not a silently different wait."""
+
+    class MyTimeout(Timeout):
+        pass
+
+    sim = Simulator()
+
+    def proc():
+        yield MyTimeout(1.0)
+
+    sim.spawn(proc(), "sub")
+    with pytest.raises(ProcessCrashed, match="unsupported"):
+        sim.run()
+
+
 def test_run_until_stops_clock():
     sim = Simulator()
 

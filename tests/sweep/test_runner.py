@@ -101,8 +101,8 @@ class TestStudies:
             build_grid("nope")
 
     def test_grid_keys_are_unique(self):
-        keys = [t.key for t in db_grid(clients=(1, 2), queries=(1, 3), transports=("bus", "naive"))]
-        assert len(keys) == len(set(keys))
+        keys = [t.key for t in db_grid(clients=(1, 2), queries=(1, 3), fault_seeds=(None, 0, 1))]
+        assert len(keys) == len(set(keys)) == 12
 
     def test_db_task_summary_shape_and_determinism(self):
         one = db_task(num_clients=1, num_queries=2)
@@ -179,10 +179,10 @@ class TestCapture:
         assert fingerprint(serial) == fingerprint(par)
 
     def test_grids_derive_capture_paths_from_keys(self, tmp_path):
-        tasks = db_grid(clients=(1,), queries=(1,), transports=("bus",), capture_dir=str(tmp_path))
-        assert tasks[0].capture_path == str(tmp_path / "db_c1q1-bus.rtrcx")
+        tasks = db_grid(clients=(1,), queries=(1,), capture_dir=str(tmp_path))
+        assert tasks[0].capture_path == str(tmp_path / "db_c1q1.rtrcx")
         utasks = unix_grid(capture_dir=str(tmp_path))
         assert all(t.capture_path.endswith(".rtrcx") for t in utasks)
         assert all("/" not in t.capture_path.rsplit("/", 1)[-1] for t in utasks)
-        plain = db_grid(clients=(1,), queries=(1,), transports=("bus",))
+        plain = db_grid(clients=(1,), queries=(1,))
         assert plain[0].capture_path is None

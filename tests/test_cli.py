@@ -99,6 +99,22 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "record", "db", "--out", "unused.rtrcx", "--transport", "bus"],
+        ["serve", "--live", "db", "--transport", "bus"],
+        ["sweep", "db", "--transports", "bus"],
+    ],
+    ids=["trace-record", "serve", "sweep"],
+)
+def test_no_command_selects_a_forwarding_transport(argv):
+    """The forwarding bus is the only transport: the options are usage errors."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_fuzz_command(capsys):
     assert main(["fuzz", "--count", "3", "--seed", "7", "--nodes", "3"]) == 0
     out = capsys.readouterr().out
@@ -138,7 +154,7 @@ def test_sweep_db_with_verify(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "4 configurations" in out
-    assert "db/c1q1-bus" in out
+    assert "db/c1q1" in out
     assert "byte-identical" in out
 
 
@@ -286,7 +302,7 @@ def test_sweep_capture_writes_rtrc_and_fingerprints(tmp_path, capsys):
     assert rc == 0
     assert "byte-identical" in capsys.readouterr().out
     files = sorted(p.name for p in cap.iterdir())
-    assert files == ["db_c1q1-bus.rtrcx", "db_c2q1-bus.rtrcx"]
+    assert files == ["db_c1q1.rtrcx", "db_c2q1.rtrcx"]
     assert open_trace(cap / files[0]).transitions > 0
 
 
